@@ -20,14 +20,11 @@
 
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <functional>
-#include <map>
 #include <queue>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/event_queue.hh"
@@ -254,92 +251,6 @@ BM_Fig12Shaped_Bucketed(benchmark::State &state)
     state.SetItemsProcessed(static_cast<std::int64_t>(events));
 }
 BENCHMARK(BM_Fig12Shaped_Bucketed);
-
-// --- Multi-tier sharded section (DESIGN.md §6f) --------------------
-//
-// End-to-end CAIS runs on the flat node and the tiered presets at
-// shards = 1, 2, 4, 8. Each entry reports:
-//  - "shards":     the requested shard count (clamped inside System);
-//  - "hw_threads": std::thread::hardware_concurrency() — CI gates the
-//    sharded speedup floor on this, single-core runners can't scale;
-//  - "speedup":    wall-time of the same preset's shards=1 entry over
-//    this entry's wall time (>= 1 means sharding helped). Baselines
-//    resolve because benchmarks execute in registration order and the
-//    shards=1 entry of each preset registers first.
-
-/** Wall-clock baselines: preset key -> seconds/iteration at shards=1. */
-std::map<std::string, double> &
-shardBaselines()
-{
-    // cais-lint: allow(D4) -- benchmark-harness speedup baseline
-    // shared across registrations, not simulation state.
-    static std::map<std::string, double> m;
-    return m;
-}
-
-RunResult
-presetRun(const char *preset, int gpus, int shards)
-{
-    LlmConfig m = llama7B().scaled(0.25, 0.125);
-    RunConfig cfg;
-    cfg.topology = preset;
-    cfg.numGpus = gpus;
-    cfg.shards = shards;
-    StrategySpec spec = strategyByName("CAIS");
-    OpGraph graph = buildSubLayer(m, SubLayerId::L1);
-    return runGraph(spec, graph, cfg, subLayerName(SubLayerId::L1));
-}
-
-void
-BM_MultiTierSharded(benchmark::State &state, const char *preset,
-                    int gpus, int shards)
-{
-    std::uint64_t events = 0;
-    double secs = 0.0;
-    for (auto _ : state) {
-        auto t0 = std::chrono::steady_clock::now();
-        RunResult r = presetRun(preset, gpus, shards);
-        auto t1 = std::chrono::steady_clock::now();
-        secs += std::chrono::duration<double>(t1 - t0).count();
-        events += r.eventsExecuted;
-        benchmark::DoNotOptimize(r.makespan);
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(events));
-
-    double per_iter =
-        secs / static_cast<double>(state.iterations() ? state.iterations()
-                                                      : 1);
-    std::string key = std::string(preset) + "/" + std::to_string(gpus);
-    if (shards == 1)
-        shardBaselines()[key] = per_iter;
-    auto base = shardBaselines().find(key);
-    if (base != shardBaselines().end() && per_iter > 0.0)
-        state.counters["speedup"] = base->second / per_iter;
-    state.counters["shards"] = static_cast<double>(shards);
-    state.counters["hw_threads"] =
-        static_cast<double>(std::thread::hardware_concurrency());
-}
-
-#define CAIS_SHARD_BENCH(tag, preset, gpus, shards)                     \
-    BENCHMARK_CAPTURE(BM_MultiTierSharded, tag, preset, gpus, shards)   \
-        ->UseRealTime()                                                 \
-        ->Unit(benchmark::kMillisecond)                                 \
-        ->Iterations(3)
-
-CAIS_SHARD_BENCH(dgx_h100_s1, "dgx-h100", 8, 1);
-CAIS_SHARD_BENCH(dgx_h100_s2, "dgx-h100", 8, 2);
-CAIS_SHARD_BENCH(dgx_h100_s4, "dgx-h100", 8, 4);
-CAIS_SHARD_BENCH(dgx_h100_s8, "dgx-h100", 8, 8);
-CAIS_SHARD_BENCH(nvl72_s1, "nvl72", 72, 1);
-CAIS_SHARD_BENCH(nvl72_s2, "nvl72", 72, 2);
-CAIS_SHARD_BENCH(nvl72_s4, "nvl72", 72, 4);
-CAIS_SHARD_BENCH(nvl72_s8, "nvl72", 72, 8);
-CAIS_SHARD_BENCH(rail4node_s1, "rail-optimized-4node", 32, 1);
-CAIS_SHARD_BENCH(rail4node_s2, "rail-optimized-4node", 32, 2);
-CAIS_SHARD_BENCH(rail4node_s4, "rail-optimized-4node", 32, 4);
-CAIS_SHARD_BENCH(rail4node_s8, "rail-optimized-4node", 32, 8);
-
-#undef CAIS_SHARD_BENCH
 
 } // namespace
 

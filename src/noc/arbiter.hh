@@ -35,8 +35,6 @@ class RoundRobinArbiter
     int cursor() const { return (last + 1) % n; }
 
   private:
-    CAIS_OWNED_BY_DOMAIN(parent);
-
     int n;
     int last;
 };

@@ -34,8 +34,6 @@ class CausalProfiler;
 /** Tunables of one switch chip. */
 struct SwitchParams
 {
-    CAIS_OWNED_BY_DOMAIN(config);
-
     Cycle pipelineDelay = 100;  ///< input-to-output latency, cycles
     Cycle perPacketProcess = 1; ///< per-VC head service interval
     int numVcs = 8;
@@ -150,12 +148,8 @@ class SwitchChip : public PacketSink, public Probe
                          const std::string &prefix) const override;
 
   private:
-    CAIS_OWNED_BY_DOMAIN(switch_domain);
-
     struct InPort
     {
-        CAIS_OWNED_BY_DOMAIN(parent);
-
         CreditLink *link = nullptr;
         std::vector<VirtualChannel> vcs;
         /** True while a service event or a blocked head owns the VC. */

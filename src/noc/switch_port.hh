@@ -39,8 +39,6 @@ class OutputPort
     const CreditLink *link() const { return out; }
 
   private:
-    CAIS_OWNED_BY_DOMAIN(parent);
-
     CreditLink *out;
     int maxPerVc;
 };

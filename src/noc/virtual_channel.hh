@@ -40,8 +40,6 @@ class VirtualChannel
     std::size_t peakOccupancy() const { return peak; }
 
   private:
-    CAIS_OWNED_BY_DOMAIN(parent);
-
     std::deque<Packet> fifo;
     std::size_t maxDepth;
     std::size_t peak = 0;

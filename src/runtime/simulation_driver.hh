@@ -68,20 +68,6 @@ struct RunConfig
     Cycle utilBinWidth = 2000;
     std::uint64_t maxEvents = 400ull * 1000 * 1000;
 
-    /**
-     * Event-core shards (DESIGN.md §6f). 0 (the default) resolves
-     * from the CAIS_SHARDS environment variable (absent or invalid
-     * means 1); 1 is the historical sequential scheduler; >= 2
-     * splits the fabric over worker threads under conservative-PDES
-     * windows, bit-identical to sequential. Clamped to the shape's
-     * domain count at System construction.
-     */
-    int shards = 0;
-
-    /** The shard count this config actually requests: shards, or
-     *  the CAIS_SHARDS environment value when shards == 0. */
-    int effectiveShards() const;
-
     /** When non-empty, a Chrome trace (Perfetto-loadable) of kernel
      *  spans, switch-side merge/sync lanes and counter tracks is
      *  written here (see analysis/deep_trace.hh for the lane map). */
@@ -95,8 +81,7 @@ struct RunConfig
      * When non-empty, the causal critical-path profile
      * (cais-profile-v1 JSON, analysis/causal_profile.hh) is written
      * here. Hooks only append to out-of-band edge logs, so a
-     * profiled run is bit-identical to an unprofiled one, at any
-     * shards= setting.
+     * profiled run is bit-identical to an unprofiled one.
      */
     std::string profilePath;
 

@@ -93,17 +93,7 @@ System::System(const SystemConfig &cfg_)
     cfg.fabric.validate();
     cfg.gpu.validate();
 
-    int shards = std::max(cfg.shards, 1);
-    shards = std::min(shards, Fabric::numDomains(cfg.fabric));
-    if (shards > 1) {
-        Cycle la = Fabric::crossShardLookahead(cfg.fabric, shards);
-        if (la == 0)
-            panic("shards=%d needs a non-zero cross-shard link "
-                  "latency for conservative lookahead",
-                  shards);
-        shq = std::make_unique<ShardedEventQueue>(queue, shards, la);
-    }
-    fab = std::make_unique<Fabric>(queue, cfg.fabric, shq.get());
+    fab = std::make_unique<Fabric>(queue, cfg.fabric);
     const FabricParams &fp = cfg.fabric;
     for (SwitchId s = 0; s < fp.numSwitches; ++s) {
         InSwitchParams isp = cfg.inswitch;
@@ -241,13 +231,6 @@ System::setProfiler(CausalProfiler *pr)
         g->setProfiler(pr);
     for (std::size_t i = 0; i < trackers.size(); ++i)
         trackers[i]->setProfiler(pr, static_cast<int>(i), &queue);
-    if (shq) {
-        // One private edge log per shard; finalize() merges them back
-        // into the canonical sequential order.
-        pr->setNumShards(shq->numShards());
-        for (int s = 0; s < shq->numShards(); ++s)
-            shq->setShardUserData(s, pr->shardLogSlot(s));
-    }
 }
 
 Addr
@@ -322,10 +305,7 @@ System::run()
         if (ks->remainingDeps == 0)
             tryLaunch(*ks);
 
-    if (shq)
-        shq->runAll(cfg.maxEvents);
-    else
-        queue.runAll(cfg.maxEvents);
+    queue.runAll(cfg.maxEvents);
 
     if (unfinishedKernels != 0)
         reportDeadlock();
@@ -665,9 +645,8 @@ System::kernelGpuSpan(KernelId k, GpuId g) const
 void
 System::registerMetrics(MetricRegistry &reg) const
 {
-    reg.addGaugeU64("eventq.executed", [this] {
-        return shq ? shq->executed() : queue.executed();
-    });
+    reg.addGaugeU64("eventq.executed",
+                    [this] { return queue.executed(); });
     const FabricParams &fp = cfg.fabric;
     for (std::size_t s = 0; s < complexes.size(); ++s) {
         // Tier-prefixed switch paths on multi-tier fabrics; flat
@@ -729,10 +708,7 @@ System::peakMergeTableBytes() const
 void
 System::setPeriodicObserver(Cycle period, std::function<void(Cycle)> fn)
 {
-    if (shq)
-        shq->setPeriodicObserver(period, std::move(fn));
-    else
-        queue.setPeriodicObserver(period, std::move(fn));
+    queue.setPeriodicObserver(period, std::move(fn));
 }
 
 double

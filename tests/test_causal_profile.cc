@@ -8,11 +8,11 @@
  *     golden attribution and segment list.
  *  2. Zero event-stream perturbation: a profiled run is bit-identical
  *     -- RunResult fields and metrics-report bytes -- to the same run
- *     without a profiler, on the flat shape and on a sharded tiered
+ *     without a profiler, on the flat shape and on a tiered (nvl72)
  *     run.
- *  3. Shard determinism: the cais-profile-v1 artifact is
- *     byte-identical between shards=1 and shards=4, and coverage on a
- *     real run stays >= 95% of makespan.
+ *  3. Determinism: the cais-profile-v1 artifact of a tiered run is
+ *     byte-identical across repeated runs, and coverage on a real
+ *     run stays >= 95% of makespan.
  */
 
 #include <cstdio>
@@ -260,20 +260,20 @@ expectBitIdentical(const RunResult &a, const RunResult &b)
         EXPECT_EQ(a.utilSeries[i], b.utilSeries[i]);
 }
 
-TEST(CausalProfile, ProfiledFlatRunIsBitIdentical)
+/** Run @p cfg with and without a profiler: RunResult fields and the
+ *  whole metrics report must match to the byte (the profiler may not
+ *  perturb a single counter anywhere in the machine). */
+void
+expectProfilingIsPerturbationFree(const RunConfig &cfg,
+                                  const std::string &tag)
 {
-    RunConfig plain = flatConfig();
-    plain.metricsPath = "/tmp/cais_test_prof_off_m.json";
-    RunConfig profiled = flatConfig();
-    profiled.metricsPath = "/tmp/cais_test_prof_on_m.json";
-    profiled.profilePath = "/tmp/cais_test_prof_on_p.json";
+    RunConfig plain = cfg;
+    plain.metricsPath = "/tmp/cais_test_prof_" + tag + "_off_m.json";
+    RunConfig profiled = cfg;
+    profiled.metricsPath = "/tmp/cais_test_prof_" + tag + "_on_m.json";
+    profiled.profilePath = "/tmp/cais_test_prof_" + tag + "_on_p.json";
 
-    RunResult base = runProfiled(plain);
-    RunResult withProf = runProfiled(profiled);
-    expectBitIdentical(base, withProf);
-
-    // The whole report must match to the byte: the profiler may not
-    // perturb a single counter anywhere in the machine.
+    expectBitIdentical(runProfiled(plain), runProfiled(profiled));
     EXPECT_EQ(slurp(plain.metricsPath), slurp(profiled.metricsPath));
 
     std::remove(plain.metricsPath.c_str());
@@ -281,33 +281,29 @@ TEST(CausalProfile, ProfiledFlatRunIsBitIdentical)
     std::remove(profiled.profilePath.c_str());
 }
 
-TEST(CausalProfile, ProfiledShardedTieredRunIsBitIdentical)
+TEST(CausalProfile, ProfiledFlatRunIsBitIdentical)
 {
-    RunConfig plain = tieredConfig();
-    plain.shards = 4;
-    RunConfig profiled = tieredConfig();
-    profiled.shards = 4;
-    profiled.profilePath = "/tmp/cais_test_prof_sh_p.json";
-
-    expectBitIdentical(runProfiled(plain), runProfiled(profiled));
-    std::remove(profiled.profilePath.c_str());
+    expectProfilingIsPerturbationFree(flatConfig(), "flat");
 }
 
-TEST(CausalProfile, AttributionIsByteIdenticalAcrossShardCounts)
+TEST(CausalProfile, ProfiledTieredRunIsBitIdentical)
 {
-    RunConfig seq = tieredConfig();
-    seq.shards = 1;
-    seq.profilePath = "/tmp/cais_test_prof_s1.json";
-    RunConfig sharded = tieredConfig();
-    sharded.shards = 4;
-    sharded.profilePath = "/tmp/cais_test_prof_s4.json";
+    expectProfilingIsPerturbationFree(tieredConfig(), "tiered");
+}
 
-    runProfiled(seq);
-    runProfiled(sharded);
-    EXPECT_EQ(slurp(seq.profilePath), slurp(sharded.profilePath));
+TEST(CausalProfile, TieredProfileIsByteIdenticalAcrossRuns)
+{
+    RunConfig first = tieredConfig();
+    first.profilePath = "/tmp/cais_test_prof_t_r1.json";
+    RunConfig second = tieredConfig();
+    second.profilePath = "/tmp/cais_test_prof_t_r2.json";
 
-    std::remove(seq.profilePath.c_str());
-    std::remove(sharded.profilePath.c_str());
+    runProfiled(first);
+    runProfiled(second);
+    EXPECT_EQ(slurp(first.profilePath), slurp(second.profilePath));
+
+    std::remove(first.profilePath.c_str());
+    std::remove(second.profilePath.c_str());
 }
 
 TEST(CausalProfile, RealRunCoversAtLeast95PercentOfMakespan)

@@ -109,8 +109,10 @@ TEST(MultiTierRun, Nvl72StrategiesMatchGolden)
 }
 
 // LADM floods the fabric with read-modify-write traffic and is by far
-// the slowest 72-GPU run; keep it in its own test so ctest -j can
-// overlap it with the rest of the suite.
+// the slowest 72-GPU run (~100M events); keep it in its own test so
+// ctest -j can overlap it with the rest of the suite. The one run
+// also locks the LADM row of the nvl72 golden bound table (see
+// test_bound_model.cc), so the simulation is paid for only once.
 TEST(MultiTierRun, Nvl72LadmMatchesGolden)
 {
     RunConfig cfg = presetConfig("nvl72");
@@ -118,6 +120,9 @@ TEST(MultiTierRun, Nvl72LadmMatchesGolden)
     RunResult r = runGraph(strategyByName("LADM"), g, cfg, "L1");
     EXPECT_EQ(r.makespan, 2432792ull);
     EXPECT_EQ(r.wireBytes, 46223032320ull);
+    EXPECT_EQ(r.boundComposite, 375153ull);
+    EXPECT_EQ(r.boundBinding, "linkSerialization");
+    EXPECT_GE(r.makespan, r.boundComposite);
 }
 
 TEST(MultiTierRun, RailOptimized2NodeStrategiesMatchGolden)
