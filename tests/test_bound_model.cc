@@ -83,10 +83,10 @@ const Golden kFlat[] = {
     {"CAIS", 35113ull, 5441ull},
 };
 
-/** Same workload on the nvl72 preset. The LADM row is locked by
- *  MultiTierRun.Nvl72LadmMatchesGolden (test_multitier_run.cc),
- *  which shares its one ~100M-event simulation with the makespan
- *  golden. */
+/** Same workload on the nvl72 preset. The LADM row is checked on its
+ *  own: its ~100M-event simulation runs once, in
+ *  MultiTierRun.Nvl72LadmMatchesGolden (test_multitier_run.cc), and
+ *  Nvl72LadmMatchesGoldenBound below checks the bound statically. */
 const Golden kNvl72[] = {
     {"TP-NVLS", 51083ull, 12956ull},
     {"SP-NVLS", 53516ull, 14956ull},
@@ -143,6 +143,21 @@ TEST(BoundModel, FlatStrategiesMatchGoldenBounds)
 TEST(BoundModel, Nvl72StrategiesMatchGoldenBounds)
 {
     expectGoldenBounds("nvl72", kNvl72);
+}
+
+TEST(BoundModel, Nvl72LadmMatchesGoldenBound)
+{
+    // The bound is read-only over descriptors and config, so it is
+    // taken from the lowered System without paying for the run; the
+    // simulated makespan is locked by MultiTierRun.Nvl72LadmMatchesGolden,
+    // which also checks the run-reported bound against these values.
+    const Cycle kLadmMakespan = 2432792ull;
+    RunConfig cfg = presetConfig("nvl72");
+    OpGraph g = buildSubLayer(fastModel(), SubLayerId::L1);
+    BoundResult b = staticBound(strategyByName("LADM"), g, cfg);
+    EXPECT_EQ(b.composite, 375153ull);
+    EXPECT_EQ(b.binding, "linkSerialization");
+    EXPECT_GE(kLadmMakespan, b.composite);
 }
 
 // ---------------------------------------------------------------

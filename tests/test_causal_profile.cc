@@ -286,7 +286,9 @@ TEST(CausalProfile, ProfiledFlatRunIsBitIdentical)
     expectProfilingIsPerturbationFree(flatConfig(), "flat");
 }
 
-TEST(CausalProfile, ProfiledTieredRunIsBitIdentical)
+/** The CAIS sub-layer's tensor-parallel (row/column-sharded) GEMMs
+ *  on the tiered nvl72 fabric. */
+TEST(CausalProfile, ProfiledShardedTieredRunIsBitIdentical)
 {
     expectProfilingIsPerturbationFree(tieredConfig(), "tiered");
 }
