@@ -85,19 +85,23 @@ EventQueue::nextOccupied(Cycle from) const
     panic("event ring bitmap empty with nearCount=%zu", nearCount);
 }
 
-void
-EventQueue::schedule(Cycle when, Callback cb)
+std::uint32_t
+EventQueue::claimSlot(Cycle when)
 {
     if (when < curTick)
         panic("scheduling event in the past: %llu < %llu",
               static_cast<unsigned long long>(when),
               static_cast<unsigned long long>(curTick));
-    std::uint32_t idx = allocSlot();
+    return allocSlot();
+}
+
+void
+EventQueue::enqueue(std::uint32_t idx, Cycle when)
+{
     Slot &s = slotAt(idx);
     s.when = when;
     s.seq = nextSeq++;
     s.next = nilIdx;
-    s.cb = std::move(cb);
 
     if (mode == SchedulerKind::bucketed && when - curTick < nearWindow) {
         std::size_t b = static_cast<std::size_t>(when & bucketMask);
@@ -113,12 +117,6 @@ EventQueue::schedule(Cycle when, Callback cb)
     } else {
         heap.push(HeapKey{when, s.seq, idx});
     }
-}
-
-void
-EventQueue::scheduleAfter(Cycle delta, Callback cb)
-{
-    schedule(curTick + delta, std::move(cb));
 }
 
 Cycle

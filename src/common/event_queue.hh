@@ -28,6 +28,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <new>
@@ -63,6 +64,19 @@ class InlineEvent
                   !std::is_same_v<std::decay_t<F>, InlineEvent>>>
     InlineEvent(F &&f) // NOLINT: implicit by design, mirrors std::function
     {
+        emplace(std::forward<F>(f));
+    }
+
+    /**
+     * Destroy the held callable, if any, and construct @p f directly
+     * in the inline buffer. A trivially copyable capture (a Packet
+     * plus pointers, the common case) gets no manager: it relocates
+     * by memcpy and needs no destructor call.
+     */
+    template <typename F>
+    void
+    emplace(F &&f)
+    {
         using Fn = std::decay_t<F>;
         static_assert(sizeof(Fn) <= inlineCapacity,
                       "event capture exceeds InlineEvent::inlineCapacity; "
@@ -71,16 +85,21 @@ class InlineEvent
                       "over-aligned event captures are not supported");
         static_assert(std::is_nothrow_move_constructible_v<Fn>,
                       "event captures must be nothrow-move-constructible");
+        destroy();
         ::new (static_cast<void *>(buf)) Fn(std::forward<F>(f));
         call = [](void *p) { (*static_cast<Fn *>(p))(); };
-        // Null @p dst means "destroy only": one manager pointer covers
-        // both relocation and destruction.
-        relocate = [](void *dst, void *src) noexcept {
-            Fn *s = static_cast<Fn *>(src);
-            if (dst)
-                ::new (dst) Fn(std::move(*s));
-            s->~Fn();
-        };
+        if constexpr (std::is_trivially_copyable_v<Fn>) {
+            relocate = nullptr;
+        } else {
+            // Null @p dst means "destroy only": one manager pointer
+            // covers both relocation and destruction.
+            relocate = [](void *dst, void *src) noexcept {
+                Fn *s = static_cast<Fn *>(src);
+                if (dst)
+                    ::new (dst) Fn(std::move(*s));
+                s->~Fn();
+            };
+        }
     }
 
     InlineEvent(InlineEvent &&other) noexcept { moveFrom(other); }
@@ -116,7 +135,10 @@ class InlineEvent
         call = other.call;
         relocate = other.relocate;
         if (call) {
-            relocate(buf, other.buf);
+            if (relocate)
+                relocate(buf, other.buf);
+            else
+                std::memcpy(buf, other.buf, inlineCapacity);
             other.call = nullptr;
             other.relocate = nullptr;
         }
@@ -126,7 +148,8 @@ class InlineEvent
     destroy() noexcept
     {
         if (call) {
-            relocate(nullptr, buf);
+            if (relocate)
+                relocate(nullptr, buf);
             call = nullptr;
             relocate = nullptr;
         }
@@ -134,6 +157,7 @@ class InlineEvent
 
     alignas(std::max_align_t) unsigned char buf[inlineCapacity];
     void (*call)(void *) = nullptr;
+    /** Null for trivially copyable captures (see emplace()). */
     void (*relocate)(void *dst, void *src) noexcept = nullptr;
 };
 
@@ -164,11 +188,27 @@ class EventQueue
     /** Scheduler kind pinned explicitly (unit tests). */
     explicit EventQueue(SchedulerKind kind);
 
-    /** Schedule @p cb at absolute cycle @p when (>= now). */
-    void schedule(Cycle when, Callback cb);
+    /**
+     * Schedule callable @p f at absolute cycle @p when (>= now),
+     * constructing it in place in its slot: the capture is written
+     * once and never moved.
+     */
+    template <typename F>
+    void
+    schedule(Cycle when, F &&f)
+    {
+        std::uint32_t idx = claimSlot(when);
+        slotAt(idx).cb.emplace(std::forward<F>(f));
+        enqueue(idx, when);
+    }
 
-    /** Schedule @p cb @p delta cycles after the current time. */
-    void scheduleAfter(Cycle delta, Callback cb);
+    /** Schedule @p f @p delta cycles after the current time. */
+    template <typename F>
+    void
+    scheduleAfter(Cycle delta, F &&f)
+    {
+        schedule(curTick + delta, std::forward<F>(f));
+    }
 
     /** Pop and run the earliest event. @return false if queue empty. */
     bool runOne();
@@ -292,6 +332,13 @@ class EventQueue
 
     /** Take a slot off the freelist, growing a chunk if dry. */
     std::uint32_t allocSlot();
+
+    /** Check @p when is not in the past; return a free slot. */
+    std::uint32_t claimSlot(Cycle when);
+
+    /** Stamp slot @p idx with (@p when, next seq) and link it into
+     *  its bucket or the far heap. */
+    void enqueue(std::uint32_t idx, Cycle when);
 
     /** Return an emptied slot to the freelist (LIFO for locality). */
     void

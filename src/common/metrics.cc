@@ -17,14 +17,43 @@ MetricSnapshot::find(const std::string &path) const
     return it == vals.end() ? nullptr : &it->second;
 }
 
+std::uint64_t
+MetricValue::exact() const
+{
+    switch (kind) {
+      case MetricKind::counter:
+      case MetricKind::gaugeU64:
+        return u64;
+      case MetricKind::stats:
+      case MetricKind::histogram:
+        return count;
+      default:
+        return static_cast<std::uint64_t>(value);
+    }
+}
+
 bool
 MetricSnapshot::matches(const std::string &pattern,
                         const std::string &path)
 {
+    // Fast path for at most one '*' (the common query shape): an
+    // exact compare, or a prefix + suffix test around the star.
+    std::size_t star = pattern.find('*');
+    if (star == std::string::npos)
+        return pattern == path;
+    if (pattern.find('*', star + 1) == std::string::npos) {
+        std::size_t suffix = pattern.size() - star - 1;
+        return path.size() >= pattern.size() - 1 &&
+               path.compare(0, star, pattern, 0, star) == 0 &&
+               path.compare(path.size() - suffix, suffix, pattern,
+                            star + 1, suffix) == 0;
+    }
+
     // Iterative glob over '*' (matches any run of characters). No
     // character classes; metric paths are plain ASCII.
     std::size_t p = 0, s = 0;
-    std::size_t star = std::string::npos, mark = 0;
+    star = std::string::npos;
+    std::size_t mark = 0;
     while (s < path.size()) {
         if (p < pattern.size() &&
             (pattern[p] == path[s])) {
@@ -49,23 +78,9 @@ std::uint64_t
 MetricSnapshot::sumU64(const std::string &pattern) const
 {
     std::uint64_t total = 0;
-    for (const auto &[path, v] : vals) {
-        if (!matches(pattern, path))
-            continue;
-        switch (v.kind) {
-          case MetricKind::counter:
-          case MetricKind::gaugeU64:
-            total += v.u64;
-            break;
-          case MetricKind::stats:
-          case MetricKind::histogram:
-            total += v.count;
-            break;
-          default:
-            total += static_cast<std::uint64_t>(v.value);
-            break;
-        }
-    }
+    for (const auto &[path, v] : vals)
+        if (matches(pattern, path))
+            total += v.exact();
     return total;
 }
 
@@ -73,26 +88,9 @@ std::uint64_t
 MetricSnapshot::maxU64(const std::string &pattern) const
 {
     std::uint64_t best = 0;
-    for (const auto &[path, v] : vals) {
-        if (!matches(pattern, path))
-            continue;
-        std::uint64_t x;
-        switch (v.kind) {
-          case MetricKind::counter:
-          case MetricKind::gaugeU64:
-            x = v.u64;
-            break;
-          case MetricKind::stats:
-          case MetricKind::histogram:
-            x = v.count;
-            break;
-          default:
-            x = static_cast<std::uint64_t>(v.value);
-            break;
-        }
-        if (x > best)
-            best = x;
-    }
+    for (const auto &[path, v] : vals)
+        if (matches(pattern, path) && v.exact() > best)
+            best = v.exact();
     return best;
 }
 

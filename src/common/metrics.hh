@@ -79,6 +79,11 @@ struct MetricValue
     // time series
     Cycle binWidth = 0;
     std::vector<double> bins;
+
+    /** Exact-integer reading: u64 for counter/gaugeU64, the sample
+     *  count for stats/histogram, the truncated scalar otherwise
+     *  (what sumU64/maxU64 aggregate). */
+    std::uint64_t exact() const;
 };
 
 /**

@@ -13,8 +13,8 @@ HbmModel::HbmModel(EventQueue &eq_, double bytes_per_cycle, Cycle latency)
         panic("HBM bandwidth must be positive");
 }
 
-void
-HbmModel::access(std::uint64_t bytes_, EventQueue::Callback done)
+Cycle
+HbmModel::reserve(std::uint64_t bytes_)
 {
     Cycle now = eq.now();
     Cycle start = std::max(now, busyUntil);
@@ -32,7 +32,7 @@ HbmModel::access(std::uint64_t bytes_, EventQueue::Callback done)
         prof->record(profNode_, WaitClass::hbm, now,
                      start + ser + lat, prof->causeNode(),
                      prof->causeTime());
-    eq.schedule(start + ser + lat, std::move(done));
+    return start + ser + lat;
 }
 
 } // namespace cais

@@ -41,8 +41,14 @@ class HbmModel : public Probe
     /** This channel's profile-graph node (0 when unprofiled). */
     std::uint64_t profNode() const { return profNode_; }
 
-    /** Schedule an access of @p bytes; @p done fires at completion. */
-    void access(std::uint64_t bytes, EventQueue::Callback done);
+    /** Schedule an access of @p bytes; @p done fires at completion
+     *  (constructed in place in its event slot). */
+    template <typename F>
+    void
+    access(std::uint64_t bytes, F &&done)
+    {
+        eq.schedule(reserve(bytes), std::forward<F>(done));
+    }
 
     std::uint64_t totalBytes() const { return bytes.value(); }
     std::uint64_t totalAccesses() const { return accesses.value(); }
@@ -58,6 +64,9 @@ class HbmModel : public Probe
     }
 
   private:
+    /** Book the channel for @p bytes; @return the completion cycle. */
+    Cycle reserve(std::uint64_t bytes);
+
     EventQueue &eq;
     double bw;
     SerDivider serDiv;

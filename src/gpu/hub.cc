@@ -1,6 +1,7 @@
 #include "gpu/hub.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "analysis/causal_profile.hh"
 #include "common/log.hh"
@@ -8,6 +9,18 @@
 
 namespace cais
 {
+
+namespace
+{
+
+/** Chunks whose requests draw a response or ack back to the hub. */
+bool
+getsReply(RemoteOpKind kind)
+{
+    return isPullKind(kind) || kind == RemoteOpKind::nvlsSt;
+}
+
+} // namespace
 
 GpuHub::GpuHub(EventQueue &eq_, Fabric &fabric_, GpuId gpu_,
                const GpuParams &params)
@@ -51,13 +64,13 @@ void
 GpuHub::submit(std::unique_ptr<HubJob> job)
 {
     std::uint64_t id = nextJobId++;
-    JobState &js = jobs[id];
+    JobState &js = jobs.emplace_back();
     js.job = std::move(job);
     js.submitAt = eq.now();
     js.awaitingInject = static_cast<int>(js.job->chunks.size());
 
     for (const auto &c : js.job->chunks) {
-        if (isPullKind(c.kind) || c.kind == RemoteOpKind::nvlsSt)
+        if (getsReply(c.kind))
             ++js.awaitingReply;
     }
 
@@ -69,6 +82,17 @@ GpuHub::submit(std::unique_ptr<HubJob> job)
 
     issueQueue.push_back(id);
     pump();
+}
+
+GpuHub::JobState *
+GpuHub::findJob(std::uint64_t job_id)
+{
+    // Ids below jobBase wrap to huge offsets and miss the table.
+    std::uint64_t off = job_id - jobBase;
+    if (off >= jobs.size())
+        return nullptr;
+    JobState &js = jobs[off];
+    return js.job ? &js : nullptr;
 }
 
 Packet
@@ -107,7 +131,11 @@ GpuHub::pump()
 
     while (inflightChunks < maxInflight && !issueQueue.empty()) {
         std::uint64_t id = issueQueue.front();
-        JobState &js = jobs.at(id);
+        JobState *jsp = findJob(id);
+        if (!jsp)
+            panic("hub %d: queued job %llu is not live", gpu,
+                  static_cast<unsigned long long>(id));
+        JobState &js = *jsp;
 
         RemoteOpKind next_kind = js.job->chunks[js.nextChunk].kind;
 
@@ -170,13 +198,10 @@ GpuHub::pump()
 void
 GpuHub::checkInjectDone(std::uint64_t job_id)
 {
-    auto it = jobs.find(job_id);
-    if (it == jobs.end())
-        return;
-    JobState &js = it->second;
-    if (!js.injectedAll && js.awaitingInject <= 0 &&
-        js.nextChunk == js.job->chunks.size()) {
-        finishInject(js);
+    JobState *js = findJob(job_id);
+    if (js && !js->injectedAll && js->awaitingInject <= 0 &&
+        js->nextChunk == js->job->chunks.size()) {
+        finishInject(*js);
         maybeFinish(job_id);
     }
 }
@@ -240,7 +265,16 @@ GpuHub::injectChunk(std::uint64_t job_id, JobState &js,
     pkt.group = js.job->group;
     pkt.cookie = cookie;
 
-    cookieToJob[cookie] = job_id;
+    if (getsReply(c.kind)) {
+        // Zero-fill the cookies of push-only chunks issued since the
+        // last reply-expecting one; the table starts afresh at this
+        // cookie when nothing is pending.
+        if (cookieToJob.empty())
+            cookieBase = cookie;
+        while (cookieBase + cookieToJob.size() < cookie)
+            cookieToJob.push_back(0);
+        cookieToJob.push_back(job_id);
+    }
 
     if (c.kind == RemoteOpKind::caisLoad)
         ++caisLoadsOutstanding;
@@ -274,9 +308,8 @@ GpuHub::onWireInjected()
         return; // sync or service traffic: not window-tracked
 
     --inflightChunks;
-    auto it = jobs.find(job_id);
-    if (it != jobs.end()) {
-        --it->second.awaitingInject;
+    if (JobState *js = findJob(job_id)) {
+        --js->awaitingInject;
         checkInjectDone(job_id);
     }
     pump();
@@ -293,15 +326,16 @@ GpuHub::finishInject(JobState &js)
 void
 GpuHub::maybeFinish(std::uint64_t job_id)
 {
-    auto it = jobs.find(job_id);
-    if (it == jobs.end())
+    JobState *js = findJob(job_id);
+    if (!js || !js->injectedAll || js->awaitingReply > 0)
         return;
-    JobState &js = it->second;
-    if (!js.injectedAll || js.awaitingReply > 0)
-        return;
-    if (js.job->onComplete)
-        js.job->onComplete();
-    jobs.erase(it);
+    if (js->job->onComplete)
+        js->job->onComplete();
+    js->job.reset();
+    while (!jobs.empty() && !jobs.front().job) {
+        jobs.pop_front();
+        ++jobBase;
+    }
 }
 
 void
@@ -381,16 +415,20 @@ GpuHub::acceptPacket(Packet &&pkt, CreditLink *from, int vc)
             // Capped loads may now resume.
             eq.scheduleAfter(0, [this] { pump(); });
         }
-        auto it = cookieToJob.find(pkt.cookie);
-        if (it == cookieToJob.end())
+        // Cookies below cookieBase wrap to huge offsets and miss.
+        std::uint64_t off = pkt.cookie - cookieBase;
+        if (off >= cookieToJob.size() || cookieToJob[off] == 0)
             panic("hub %d: response with unknown cookie %llu", gpu,
                   static_cast<unsigned long long>(pkt.cookie));
-        std::uint64_t job_id = it->second;
-        cookieToJob.erase(it);
-        auto jit = jobs.find(job_id);
-        if (jit == jobs.end())
+        std::uint64_t job_id = std::exchange(cookieToJob[off], 0);
+        while (!cookieToJob.empty() && cookieToJob.front() == 0) {
+            cookieToJob.pop_front();
+            ++cookieBase;
+        }
+        JobState *js = findJob(job_id);
+        if (!js)
             panic("hub %d: response for finished job", gpu);
-        --jit->second.awaitingReply;
+        --js->awaitingReply;
         maybeFinish(job_id);
         return;
       }
@@ -416,7 +454,8 @@ GpuHub::acceptPacket(Packet &&pkt, CreditLink *from, int vc)
 bool
 GpuHub::idle() const
 {
-    return jobs.empty() && issueQueue.empty() && inflightChunks == 0;
+    return jobs.empty() && cookieToJob.empty() && issueQueue.empty() &&
+           inflightChunks == 0;
 }
 
 } // namespace cais

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "common/metrics.hh"
+#include "common/ring_queue.hh"
 #include "common/stats.hh"
 #include "gpu/gpu_config.hh"
 #include "gpu/hbm.hh"
@@ -114,7 +115,7 @@ class GpuHub : public PacketSink, public Probe
     std::uint64_t throttlePauses() const { return pauses.value(); }
     std::uint64_t bytesServed() const { return served.value(); }
 
-    /** True when no job, chunk, or response is pending. */
+    /** True when no job, chunk, or expected reply is pending. */
     bool idle() const;
 
     void
@@ -130,13 +131,16 @@ class GpuHub : public PacketSink, public Probe
   private:
     struct JobState
     {
-        std::unique_ptr<HubJob> job;
+        std::unique_ptr<HubJob> job; ///< null once the job finished
         std::size_t nextChunk = 0;
         int awaitingInject = 0;  ///< chunks not yet on the wire
         int awaitingReply = 0;   ///< responses/acks outstanding
         bool injectedAll = false;
         Cycle submitAt = 0;      ///< profiler: injection-wait origin
     };
+
+    /** Live job @p job_id, or nullptr once it finished. */
+    JobState *findJob(std::uint64_t job_id);
 
     void pump();
     void checkInjectDone(std::uint64_t job_id);
@@ -165,12 +169,25 @@ class GpuHub : public PacketSink, public Probe
     Synchronizer *synchronizer = nullptr;
     CausalProfiler *prof = nullptr;
 
-    std::unordered_map<std::uint64_t, JobState> jobs;
+    /**
+     * Job id -> state, indexed by id - jobBase (ids are sequential).
+     * A deque keeps references stable while pump() holds a JobState&
+     * and a callback submits a new job; finished entries at the front
+     * are dropped, so the table spans the in-flight window only.
+     */
+    std::deque<JobState> jobs;
+    std::uint64_t jobBase = 1;
     std::uint64_t nextJobId = 1;
     std::deque<std::uint64_t> issueQueue; ///< jobs with chunks to send
 
-    /** cookie -> owning job. */
-    std::unordered_map<std::uint64_t, std::uint64_t> cookieToJob;
+    /**
+     * Cookie -> owning job for chunks that expect a reply, indexed by
+     * cookie - cookieBase; 0 marks a cookie with no reply pending.
+     * The front is trimmed past 0 entries, so push-only chunks leave
+     * nothing behind.
+     */
+    RingQueue<std::uint64_t> cookieToJob;
+    std::uint64_t cookieBase = 1;
     std::uint64_t nextCookie = 1;
 
     /** Group pause deadlines from throttle hints. */
@@ -189,7 +206,7 @@ class GpuHub : public PacketSink, public Probe
      * (0 = non-job traffic). Dequeues across the parallel uplinks are
      * matched FIFO, a close approximation of wire order.
      */
-    std::deque<std::uint64_t> wireOrder;
+    RingQueue<std::uint64_t> wireOrder;
 
     Counter injected;
     Counter responses;

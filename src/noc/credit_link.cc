@@ -10,11 +10,11 @@ CreditLink::CreditLink(EventQueue &eq_, std::string name,
                        double bytes_per_cycle, Cycle latency, int num_vcs,
                        int vc_credits, Cycle util_bin_width)
     : eq(eq_), linkName(std::move(name)), bw(bytes_per_cycle),
-      serDiv(bytes_per_cycle), lat(latency),
+      serDiv(bytes_per_cycle), lat(latency), arb(num_vcs),
       queues(static_cast<std::size_t>(num_vcs)),
       creditCount(static_cast<std::size_t>(num_vcs), vc_credits),
       pendingCredits(static_cast<std::size_t>(num_vcs)),
-      arb(num_vcs), util(util_bin_width)
+      util(util_bin_width)
 {
     if (bw <= 0.0)
         panic("link %s: non-positive bandwidth", linkName.c_str());
@@ -40,8 +40,10 @@ CreditLink::send(Packet &&pkt)
         pkt.profT = eq.now();
         pkt.profCreditStalled = false;
     }
-    queues[static_cast<std::size_t>(vc)].push_back(std::move(pkt));
+    auto idx = static_cast<std::size_t>(vc);
+    queues[idx].push_back(std::move(pkt));
     ++queuedTotal;
+    updateReady(idx);
     tryIssue();
 }
 
@@ -59,9 +61,11 @@ CreditLink::returnCredit(int vc)
     }
     pend.emplace_back(at, 1);
     eq.scheduleAfter(lat, [this, vc] {
-        auto &pd = pendingCredits[static_cast<std::size_t>(vc)];
-        creditCount[static_cast<std::size_t>(vc)] += pd.front().second;
+        auto idx = static_cast<std::size_t>(vc);
+        auto &pd = pendingCredits[idx];
+        creditCount[idx] += pd.front().second;
         pd.pop_front();
+        updateReady(idx);
         tryIssue();
     });
 }
@@ -86,10 +90,7 @@ CreditLink::tryIssue()
         return;
     }
 
-    int vc = arb.pick([this](int i) {
-        auto idx = static_cast<std::size_t>(i);
-        return !queues[idx].empty() && creditCount[idx] > 0;
-    });
+    int vc = arb.pick(readyMask);
     if (vc < 0) {
         // Every non-empty queue is blocked on credits (the serializer
         // is idle here); mark the heads so their queue-wait edge is
@@ -106,6 +107,7 @@ CreditLink::tryIssue()
     queues[idx].pop_front();
     --queuedTotal;
     --creditCount[idx];
+    updateReady(idx);
 
     Cycle ser = serDiv.cycles(pkt.wireBytes());
     if (ser == 0)

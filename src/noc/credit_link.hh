@@ -14,7 +14,7 @@
 #ifndef CAIS_NOC_CREDIT_LINK_HH
 #define CAIS_NOC_CREDIT_LINK_HH
 
-#include <deque>
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
@@ -22,6 +22,7 @@
 #include "common/event_queue.hh"
 #include "common/intmath.hh"
 #include "common/metrics.hh"
+#include "common/ring_queue.hh"
 #include "common/stats.hh"
 #include "noc/arbiter.hh"
 #include "noc/packet.hh"
@@ -122,20 +123,38 @@ class CreditLink : public Probe
     /** Try to start serializing the next eligible packet. */
     void tryIssue();
 
+    /** Recompute @p vc's readyMask bit: queued packets and a credit. */
+    void
+    updateReady(std::size_t vc)
+    {
+        std::uint32_t bit = 1u << vc;
+        if (!queues[vc].empty() && creditCount[vc] > 0)
+            readyMask |= bit;
+        else
+            readyMask &= ~bit;
+    }
+
     EventQueue &eq;
     std::string linkName;
     double bw;
     SerDivider serDiv;
     Cycle lat;
 
-    std::vector<std::deque<Packet>> queues;
+    /** Built before the queues: it rejects a VC count outside
+     *  1..32, the width of readyMask. */
+    RoundRobinArbiter arb;
+
+    std::vector<RingQueue<Packet>> queues;
     std::vector<int> creditCount;
+
+    /** Bit v set exactly when VC v has a queued packet and a credit:
+     *  the arbiter's request lines. */
+    std::uint32_t readyMask = 0;
 
     /** In-flight credit batches per VC: (arrival cycle, count), one
      *  scheduled event per batch, ordered by arrival cycle. */
-    std::vector<std::deque<std::pair<Cycle, int>>> pendingCredits;
+    std::vector<RingQueue<std::pair<Cycle, int>>> pendingCredits;
 
-    RoundRobinArbiter arb;
     CausalProfiler *prof = nullptr;
     std::uint64_t profNode_ = 0;
     PacketSink *sink = nullptr;

@@ -4,6 +4,7 @@
 
 #include "common/log.hh"
 #include "common/nodemask.hh"
+#include "noc/arbiter.hh"
 
 namespace cais
 {
@@ -131,6 +132,10 @@ FabricParams::validationError() const
         return strfmt("switch needs >= %d VCs (got %d)",
                       static_cast<int>(VcClass::numClasses),
                       sw.numVcs);
+    if (sw.numVcs > RoundRobinArbiter::maxInputs)
+        return strfmt("switch supports at most %d VCs, one per "
+                      "ready-mask bit (got %d)",
+                      RoundRobinArbiter::maxInputs, sw.numVcs);
     if (interleaveBytes == 0)
         return "interleave granularity must be non-zero";
     if (numGroups < 1)

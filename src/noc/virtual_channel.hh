@@ -8,8 +8,8 @@
 #define CAIS_NOC_VIRTUAL_CHANNEL_HH
 
 #include <cstddef>
-#include <deque>
 
+#include "common/ring_queue.hh"
 #include "noc/packet.hh"
 
 namespace cais
@@ -40,7 +40,7 @@ class VirtualChannel
     std::size_t peakOccupancy() const { return peak; }
 
   private:
-    std::deque<Packet> fifo;
+    RingQueue<Packet> fifo;
     std::size_t maxDepth;
     std::size_t peak = 0;
 };

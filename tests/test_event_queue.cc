@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <type_traits>
 
 #include "common/event_queue.hh"
 
@@ -310,4 +311,56 @@ TEST(InlineEvent, HoldsPacketSizedCaptureInline)
     InlineEvent ev([big, &out] { out = big.blob[95]; });
     ev();
     EXPECT_EQ(out, 7);
+}
+
+TEST(InlineEvent, TriviallyCopyableCaptureMovesByValue)
+{
+    struct Blob
+    {
+        unsigned char bytes[100];
+    } blob = {};
+    blob.bytes[0] = 3;
+    blob.bytes[99] = 9;
+    int out = 0;
+    auto fn = [blob, &out] { out = blob.bytes[0] * blob.bytes[99]; };
+    static_assert(std::is_trivially_copyable_v<decltype(fn)>);
+    InlineEvent a(fn);
+    InlineEvent b(std::move(a));
+    InlineEvent c;
+    c = std::move(b);
+    EXPECT_FALSE(static_cast<bool>(b));
+    c();
+    EXPECT_EQ(out, 27);
+}
+
+TEST(EventQueue, InPlaceCaptureDestroyedOnceWhenRun)
+{
+    EventQueue eq(EventQueue::SchedulerKind::bucketed);
+    int dtors = 0;
+    int runs = 0;
+    eq.schedule(5, [d = DtorCounter(&dtors), &runs] { ++runs; });
+    eq.scheduleAfter(7, [d = DtorCounter(&dtors), &runs] { ++runs; });
+    // The argument temporaries are moved-from shells.
+    EXPECT_EQ(dtors, 0);
+    eq.runAll();
+    EXPECT_EQ(runs, 2);
+    EXPECT_EQ(dtors, 2);
+}
+
+TEST(EventQueue, ResetDestroysUnrunCapturesOnce)
+{
+    for (auto kind : {EventQueue::SchedulerKind::bucketed,
+                      EventQueue::SchedulerKind::heap}) {
+        EventQueue eq(kind);
+        int dtors = 0;
+        bool ran = false;
+        eq.schedule(3, [d = DtorCounter(&dtors), &ran] { ran = true; });
+        // Far enough out to take the far-future heap when bucketed.
+        eq.schedule(EventQueue::nearWindow * 3,
+                    [d = DtorCounter(&dtors), &ran] { ran = true; });
+        eq.reset();
+        EXPECT_FALSE(ran);
+        EXPECT_EQ(dtors, 2);
+        EXPECT_TRUE(eq.empty());
+    }
 }

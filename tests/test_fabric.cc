@@ -154,4 +154,9 @@ TEST(FabricDeathTest, InvalidConfigsAreFatal)
     FabricParams bad2 = params();
     bad2.sw.numVcs = 2;
     EXPECT_DEATH(bad2.validate(), "VCs");
+    FabricParams bad3 = params();
+    bad3.sw.numVcs = 33;
+    EXPECT_NE(bad3.validationError().find("at most 32 VCs"),
+              std::string::npos);
+    EXPECT_DEATH(bad3.validate(), "at most 32 VCs");
 }

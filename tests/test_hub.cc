@@ -105,6 +105,54 @@ TEST(Hub, PlainWriteLandsAndTracks)
     EXPECT_FALSE(rig.sys->tracker(t.tracker).ready(0, 1));
 }
 
+TEST(Hub, PushOnlyCaisRedLeavesHubIdle)
+{
+    // caisRed gets no reply, so it must leave no reply-table entry
+    // behind: idle() also requires that table to be empty.
+    HubRig rig;
+    auto job = std::make_unique<HubJob>();
+    RemoteOp op;
+    op.kind = RemoteOpKind::caisRed;
+    op.base = makeAddr(1, 0x40000);
+    op.bytes = 3 * 4096;
+    op.expected = 1;
+    for (auto &c : rig.hub(0).chunkify(op))
+        job->chunks.push_back(c);
+    bool complete = false;
+    job->onComplete = [&] { complete = true; };
+    rig.hub(0).submit(std::move(job));
+    rig.eq().runAll();
+    EXPECT_TRUE(complete);
+    EXPECT_EQ(rig.hub(0).chunksInjected(), 3u);
+    EXPECT_TRUE(rig.hub(0).idle());
+}
+
+TEST(Hub, MixedPushAndPullJobsDrainTheReplyTable)
+{
+    // Push-only chunks interleave with reply-expecting ones, so the
+    // reply table holds gaps while loads are out; every load still
+    // finds its job and the table drains.
+    HubRig rig;
+    int complete = 0;
+    for (int j = 0; j < 6; ++j) {
+        auto job = std::make_unique<HubJob>();
+        RemoteOp op;
+        op.kind = j % 2 ? RemoteOpKind::plainLoad
+                        : RemoteOpKind::plainWrite;
+        op.base = makeAddr(1, 0x50000 + 0x10000 * j);
+        op.bytes = 4 * 4096;
+        for (auto &c : rig.hub(0).chunkify(op))
+            job->chunks.push_back(c);
+        job->onComplete = [&] { ++complete; };
+        rig.hub(0).submit(std::move(job));
+    }
+    EXPECT_FALSE(rig.hub(0).idle());
+    rig.eq().runAll();
+    EXPECT_EQ(complete, 6);
+    EXPECT_EQ(rig.hub(0).responsesReceived(), 12u);
+    EXPECT_TRUE(rig.hub(0).idle());
+}
+
 TEST(Hub, InjectionWindowBacklogsJobs)
 {
     HubRig rig;

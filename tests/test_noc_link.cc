@@ -161,3 +161,12 @@ TEST(CreditLink, DequeueCallbackFiresPerPacket)
     eq.runAll();
     EXPECT_EQ(dequeues, 2);
 }
+
+TEST(CreditLinkDeathTest, VcCountMustFitTheReadyMask)
+{
+    EventQueue eq(EventQueue::SchedulerKind::bucketed);
+    EXPECT_DEATH(CreditLink(eq, "wide", 100.0, 0, 33, 8, 1000),
+                 "ready-mask bit");
+    CreditLink widest(eq, "widest", 100.0, 0, 32, 8, 1000);
+    EXPECT_EQ(widest.numVcs(), 32);
+}

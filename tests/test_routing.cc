@@ -1,5 +1,7 @@
 /** @file Tests for deterministic routing and round-robin arbitration. */
 
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 #include "noc/arbiter.hh"
@@ -52,7 +54,7 @@ TEST(Routing, GroupRoutingInRangeAndDeterministic)
 TEST(Arbiter, RoundRobinFairness)
 {
     RoundRobinArbiter arb(4);
-    auto all_ready = [](int) { return true; };
+    const std::uint32_t all_ready = 0b1111;
     EXPECT_EQ(arb.pick(all_ready), 0);
     EXPECT_EQ(arb.pick(all_ready), 1);
     EXPECT_EQ(arb.pick(all_ready), 2);
@@ -63,20 +65,42 @@ TEST(Arbiter, RoundRobinFairness)
 TEST(Arbiter, SkipsNotReady)
 {
     RoundRobinArbiter arb(4);
-    auto only2 = [](int i) { return i == 2; };
+    const std::uint32_t only2 = 1u << 2;
     EXPECT_EQ(arb.pick(only2), 2);
     EXPECT_EQ(arb.pick(only2), 2);
-    auto none = [](int) { return false; };
+    const std::uint32_t none = 0;
     EXPECT_EQ(arb.pick(none), -1);
 }
 
 TEST(Arbiter, ResumesAfterLastGrant)
 {
     RoundRobinArbiter arb(3);
-    auto all = [](int) { return true; };
+    const std::uint32_t all = 0b111;
     EXPECT_EQ(arb.pick(all), 0);
-    auto only0 = [](int i) { return i == 0; };
+    const std::uint32_t only0 = 1u << 0;
     EXPECT_EQ(arb.pick(only0), 0);
     // After granting 0, input 1 has priority.
     EXPECT_EQ(arb.pick(all), 1);
+}
+
+TEST(Arbiter, WrapsPastHighestReadyInput)
+{
+    RoundRobinArbiter arb(8);
+    EXPECT_EQ(arb.pick(1u << 6), 6);
+    // Nothing ready at or after the cursor (7): wrap to the lowest.
+    EXPECT_EQ(arb.pick((1u << 1) | (1u << 4)), 1);
+    EXPECT_EQ(arb.pick((1u << 1) | (1u << 4)), 4);
+    // Granting the last input puts the cursor back at 0.
+    EXPECT_EQ(arb.pick(1u << 7), 7);
+    EXPECT_EQ(arb.cursor(), 0);
+    EXPECT_EQ(arb.pick(0b1000'0001), 0);
+    // Bits beyond the input count are not requesters.
+    EXPECT_EQ(arb.pick(1u << 9), -1);
+}
+
+TEST(Arbiter, FullWidthMask)
+{
+    RoundRobinArbiter arb(RoundRobinArbiter::maxInputs);
+    EXPECT_EQ(arb.pick(1u << 31), 31);
+    EXPECT_EQ(arb.pick(~0u), 0);
 }
