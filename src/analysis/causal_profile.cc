@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <tuple>
 
 #include "analysis/trace.hh"
@@ -349,11 +348,7 @@ CausalProfiler::writeFile(const std::string &path,
                           const std::string &strategy,
                           const std::string &workload) const
 {
-    std::ofstream f(path, std::ios::binary);
-    if (!f)
-        return false;
-    f << toJson(a, strategy, workload) << "\n";
-    return static_cast<bool>(f);
+    return writeDocumentFile(path, toJson(a, strategy, workload), true);
 }
 
 void

@@ -1,5 +1,7 @@
 #include "analysis/deep_trace.hh"
 
+#include <algorithm>
+
 #include "common/log.hh"
 #include "runtime/system.hh"
 
@@ -10,6 +12,16 @@ DeepTraceProbe::DeepTraceProbe(System &sys_, TraceCollector &tc_)
     : sys(sys_), tc(tc_)
 {
     lastHbmBytes.assign(static_cast<std::size_t>(sys.numGpus()), 0);
+    for (GpuId g = 0; g < sys.numGpus(); ++g) {
+        portTableNames.push_back(strfmt("port%d table B", g));
+        hbmBwNames.push_back(strfmt("gpu%d HBM B/cyc", g));
+    }
+    int num_vcs = 0;
+    for (SwitchId s = 0; s < sys.numSwitches(); ++s)
+        num_vcs = std::max(num_vcs,
+                           sys.fabric().switchChip(s).params().numVcs);
+    for (int vc = 0; vc < num_vcs; ++vc)
+        vcDepthNames.push_back(strfmt("vc%d downlink depth", vc));
 }
 
 void
@@ -80,7 +92,8 @@ DeepTraceProbe::sample(Cycle at)
         SwitchComputeComplex &c = sys.switchCompute(s);
         const SwitchChip &chip = sys.fabric().switchChip(s);
         for (GpuId p = 0; p < sys.numGpus(); ++p)
-            tc.addCounter(strfmt("port%d table B", p), pid, at,
+            tc.addCounter(portTableNames[static_cast<std::size_t>(p)],
+                          pid, at,
                           static_cast<double>(
                               c.merge().liveTableBytes(p)));
         int num_vcs = chip.params().numVcs;
@@ -91,8 +104,8 @@ DeepTraceProbe::sample(Cycle at)
             for (int port = 0; port < chip.numPorts(); ++port)
                 depth += chip.downlinkQueue(
                     port, static_cast<VcClass>(vc));
-            tc.addCounter(strfmt("vc%d downlink depth", vc), pid, at,
-                          static_cast<double>(depth));
+            tc.addCounter(vcDepthNames[static_cast<std::size_t>(vc)],
+                          pid, at, static_cast<double>(depth));
         }
     }
 
@@ -103,7 +116,7 @@ DeepTraceProbe::sample(Cycle at)
         std::uint64_t delta =
             total - lastHbmBytes[static_cast<std::size_t>(g)];
         lastHbmBytes[static_cast<std::size_t>(g)] = total;
-        tc.addCounter(strfmt("gpu%d HBM B/cyc", g), 1, at,
+        tc.addCounter(hbmBwNames[static_cast<std::size_t>(g)], 1, at,
                       static_cast<double>(delta) /
                           static_cast<double>(span));
     }

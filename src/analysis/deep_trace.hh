@@ -25,6 +25,7 @@
 #define CAIS_ANALYSIS_DEEP_TRACE_HH
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "analysis/trace.hh"
@@ -69,6 +70,11 @@ class DeepTraceProbe : public SwitchTraceHooks
   private:
     System &sys;
     TraceCollector &tc;
+
+    /** Counter-track names, built once: per port, VC and GPU. */
+    std::vector<std::string> portTableNames;
+    std::vector<std::string> vcDepthNames;
+    std::vector<std::string> hbmBwNames;
 
     /** HBM byte totals at the previous sample (bandwidth deltas). */
     std::vector<std::uint64_t> lastHbmBytes;

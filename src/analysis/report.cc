@@ -1,7 +1,5 @@
 #include "analysis/report.hh"
 
-#include <cstdio>
-
 #include "common/json.hh"
 
 namespace cais
@@ -104,14 +102,8 @@ bool
 writeMetricsReport(const std::string &path, const RunConfig &cfg,
                    const RunResult &r, const MetricSnapshot &snap)
 {
-    std::string doc = renderMetricsReport(cfg, r, snap);
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f)
-        return false;
-    std::size_t n = std::fwrite(doc.data(), 1, doc.size(), f);
-    bool ok = std::fputc('\n', f) != EOF;
-    std::fclose(f);
-    return ok && n == doc.size();
+    return writeDocumentFile(path, renderMetricsReport(cfg, r, snap),
+                             true);
 }
 
 } // namespace cais

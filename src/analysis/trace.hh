@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/types.hh"
@@ -22,10 +23,17 @@ namespace cais
 /**
  * Collects trace events and renders Chrome trace-event JSON.
  * Rendering sorts events into a canonical (ts, pid, tid, ...) order.
+ *
+ * Events are stored as compact fixed-size records whose names,
+ * categories and metadata values are ids into an interned string
+ * table, so a counter sample costs one table lookup and copies no
+ * string.
  */
 class TraceCollector
 {
   public:
+    TraceCollector();
+
     /**
      * Complete ("X") event: a span on a track.
      * @param pid process lane (0 = GPUs, 1 = fabric).
@@ -58,20 +66,31 @@ class TraceCollector
     bool writeFile(const std::string &path) const;
 
   private:
+    /** One trace event; trivially copyable. */
     struct Event
     {
-        char phase;            // 'X', 'i', 'C', 'M'
-        std::string name;
-        std::string category;
+        Cycle ts;
+        Cycle dur;           // X only
+        double value;        // C only
         int pid;
         int tid;
-        Cycle ts;
-        Cycle dur;             // X only
-        double value;          // C only
-        std::string metaValue; // M only
+        std::uint32_t name;  // string-table ids
+        std::uint32_t category;
+        std::uint32_t meta;  // M only ("" otherwise)
+        char phase;          // 'X', 'i', 'C', 'M'
     };
 
+    /** Ids the constructor interns first. */
+    static constexpr std::uint32_t emptyId = 0;
+    static constexpr std::uint32_t counterId = 1;
+
+    /** Id of @p s in the string table, adding it if new. */
+    std::uint32_t intern(const std::string &s);
+
     std::vector<Event> events;
+    /** Interned strings by id, and the id of each string. */
+    std::vector<std::string> strings;
+    std::unordered_map<std::string, std::uint32_t> ids;
 };
 
 } // namespace cais

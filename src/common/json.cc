@@ -1,6 +1,7 @@
 #include "common/json.hh"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -9,6 +10,77 @@ namespace cais
 {
 
 // --- Writer ----------------------------------------------------------
+
+namespace
+{
+
+/** Append std::to_chars(v, fmt...) to @p out. */
+template <typename T, typename... Fmt>
+void
+appendChars(std::string &out, T v, Fmt... fmt)
+{
+    // 17 significant digits, sign, point and "e-308" fit in 25 bytes;
+    // a 64-bit integer in 20.
+    char buf[32];
+    char *end = std::to_chars(buf, buf + sizeof(buf), v, fmt...).ptr;
+    out.append(buf, end);
+}
+
+bool
+needsEscape(char c)
+{
+    return c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20;
+}
+
+/** Append @p s to @p out with JSON string escapes applied. */
+void
+appendEscaped(std::string &out, std::string_view s)
+{
+    std::size_t clean = 0;
+    for (std::size_t i = 0; i < s.size(); ++i) {
+        char c = s[i];
+        if (!needsEscape(c))
+            continue;
+        out.append(s.data() + clean, i - clean);
+        clean = i + 1;
+        switch (c) {
+          case '"':
+            out += "\\\"";
+            break;
+          case '\\':
+            out += "\\\\";
+            break;
+          case '\n':
+            out += "\\n";
+            break;
+          case '\r':
+            out += "\\r";
+            break;
+          case '\t':
+            out += "\\t";
+            break;
+          default: {
+            static constexpr char hex[] = "0123456789abcdef";
+            unsigned u = static_cast<unsigned char>(c);
+            const char esc[] = {'\\', 'u', '0', '0', hex[u >> 4],
+                                hex[u & 0xf]};
+            out.append(esc, sizeof(esc));
+          }
+        }
+    }
+    out.append(s.data() + clean, s.size() - clean);
+}
+
+/** Append @p s to @p out as a quoted, escaped JSON string literal. */
+void
+appendQuoted(std::string &out, std::string_view s)
+{
+    out += '"';
+    appendEscaped(out, s);
+    out += '"';
+}
+
+} // namespace
 
 void
 JsonWriter::separate()
@@ -59,30 +131,27 @@ JsonWriter::endArray()
 }
 
 JsonWriter &
-JsonWriter::key(const std::string &k)
+JsonWriter::key(std::string_view k)
 {
     separate();
-    out += '"';
-    out += escape(k);
-    out += "\":";
+    appendQuoted(out, k);
+    out += ':';
     pendingKey = true;
     return *this;
 }
 
 JsonWriter &
-JsonWriter::value(const std::string &v)
+JsonWriter::value(std::string_view v)
 {
     separate();
-    out += '"';
-    out += escape(v);
-    out += '"';
+    appendQuoted(out, v);
     return *this;
 }
 
 JsonWriter &
 JsonWriter::value(const char *v)
 {
-    return value(std::string(v));
+    return value(std::string_view(v));
 }
 
 JsonWriter &
@@ -91,9 +160,7 @@ JsonWriter::value(double v)
     separate();
     if (!std::isfinite(v))
         v = 0.0; // keep the document valid JSON
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    out += buf;
+    appendChars(out, v, std::chars_format::general, 17);
     return *this;
 }
 
@@ -101,10 +168,7 @@ JsonWriter &
 JsonWriter::value(std::uint64_t v)
 {
     separate();
-    char buf[24];
-    std::snprintf(buf, sizeof(buf), "%llu",
-                  static_cast<unsigned long long>(v));
-    out += buf;
+    appendChars(out, v);
     return *this;
 }
 
@@ -112,10 +176,7 @@ JsonWriter &
 JsonWriter::value(std::int64_t v)
 {
     separate();
-    char buf[24];
-    std::snprintf(buf, sizeof(buf), "%lld",
-                  static_cast<long long>(v));
-    out += buf;
+    appendChars(out, v);
     return *this;
 }
 
@@ -142,39 +203,26 @@ JsonWriter::null()
 }
 
 std::string
-JsonWriter::escape(const std::string &s)
+JsonWriter::escape(std::string_view s)
 {
     std::string r;
     r.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            r += "\\\"";
-            break;
-          case '\\':
-            r += "\\\\";
-            break;
-          case '\n':
-            r += "\\n";
-            break;
-          case '\r':
-            r += "\\r";
-            break;
-          case '\t':
-            r += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(c) & 0xff);
-                r += buf;
-            } else {
-                r += c;
-            }
-        }
-    }
+    appendEscaped(r, s);
     return r;
+}
+
+bool
+writeDocumentFile(const std::string &path, std::string_view doc,
+                  bool trailing_newline)
+{
+    std::FILE *f = std::fopen(path.c_str(), "wb");
+    if (!f)
+        return false;
+    bool ok = std::fwrite(doc.data(), 1, doc.size(), f) == doc.size();
+    if (trailing_newline)
+        ok = std::fputc('\n', f) != EOF && ok;
+    // A full disk often shows only when the buffer is flushed.
+    return std::fclose(f) == 0 && ok;
 }
 
 // --- Parser ----------------------------------------------------------

@@ -6,9 +6,12 @@
  * report round-trip tests).
  *
  * The writer emits deterministic output: doubles are printed with
- * "%.17g" (shortest exact round-trip for IEEE doubles is not needed;
- * byte-stable output across runs is), and non-finite doubles are
- * written as 0 so the emitted document is always valid JSON.
+ * std::to_chars in general format at precision 17, which yields the
+ * same bytes as "%.17g" (shortest exact round-trip for IEEE doubles is
+ * not needed; byte-stable output across runs is), and non-finite
+ * doubles are written as 0 so the emitted document is always valid
+ * JSON. Keys and string values are escaped straight into the output
+ * buffer, so writing a member allocates nothing beyond buffer growth.
  */
 
 #ifndef CAIS_COMMON_JSON_HH
@@ -18,6 +21,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace cais
@@ -33,9 +37,9 @@ class JsonWriter
     JsonWriter &endArray();
 
     /** Object member key; must be followed by a value or container. */
-    JsonWriter &key(const std::string &k);
+    JsonWriter &key(std::string_view k);
 
-    JsonWriter &value(const std::string &v);
+    JsonWriter &value(std::string_view v);
     JsonWriter &value(const char *v);
     JsonWriter &value(double v);
     JsonWriter &value(std::uint64_t v);
@@ -47,17 +51,23 @@ class JsonWriter
     /** key(k) + value(v) in one call. */
     template <typename T>
     JsonWriter &
-    field(const std::string &k, T v)
+    field(std::string_view k, const T &v)
     {
         key(k);
         return value(v);
     }
 
+    /** Pre-size the output buffer for a document of about @p bytes. */
+    void reserve(std::size_t bytes) { out.reserve(bytes); }
+
     /** The document so far. */
     const std::string &str() const { return out; }
 
+    /** Move the document out, leaving the writer empty. */
+    std::string take() { return std::move(out); }
+
     /** Escape @p s for embedding inside a JSON string literal. */
-    static std::string escape(const std::string &s);
+    static std::string escape(std::string_view s);
 
   private:
     /** Emit a comma if the current container already has a member. */
@@ -68,6 +78,14 @@ class JsonWriter
     std::vector<bool> needComma;
     bool pendingKey = false;
 };
+
+/**
+ * Write @p doc (plus one '\n' when @p trailing_newline) to @p path.
+ * Returns false if the file cannot be opened or any byte fails to
+ * reach it, including a failure that only shows when it is closed.
+ */
+bool writeDocumentFile(const std::string &path, std::string_view doc,
+                       bool trailing_newline);
 
 /** A parsed JSON document node. */
 class JsonValue

@@ -1,6 +1,7 @@
 #include "runtime/simulation_driver.hh"
 
 #include <cmath>
+#include <optional>
 
 #include "analysis/bound_model.hh"
 #include "analysis/causal_profile.hh"
@@ -145,13 +146,14 @@ runGraph(const StrategySpec &spec, const OpGraph &graph,
     // traced run stays bit-identical to an untraced one.
     bool tracing = !cfg.tracePath.empty();
     TraceCollector tc;
-    DeepTraceProbe probe(sys, tc);
+    std::optional<DeepTraceProbe> probe;
     if (tracing) {
-        sys.setTraceHooks(&probe);
+        probe.emplace(sys, tc);
+        sys.setTraceHooks(&*probe);
         if (cfg.traceSampleCycles > 0)
             sys.setPeriodicObserver(
                 cfg.traceSampleCycles,
-                [&probe](Cycle at) { probe.sample(at); });
+                [&probe](Cycle at) { probe->sample(at); });
     }
 
     // Causal profiler: attach before lowering so tile trackers
@@ -311,7 +313,7 @@ runGraph(const StrategySpec &spec, const OpGraph &graph,
         for (GpuId g = 0; g < sys.numGpus(); ++g)
             tc.nameLane(0, g, strfmt("GPU %d", g));
         tc.nameLane(1, sys.numGpus(), "mean link utilization");
-        probe.announceLanes();
+        probe->announceLanes();
         for (std::size_t i = 0; i < r.utilSeries.size(); ++i)
             tc.addCounter("link util %", 1,
                           static_cast<Cycle>(i) * cfg.utilBinWidth,

@@ -19,6 +19,7 @@
 #include <fstream>
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include "analysis/causal_profile.hh"
 #include "analysis/report.hh"
@@ -146,6 +147,16 @@ TEST_F(GoldenProfile, JsonArtifactIsWellFormed)
     EXPECT_EQ(path->elems.size(), 4u);
     EXPECT_EQ(path->elems[1].getString("class"),
               "linkSerialization");
+}
+
+TEST_F(GoldenProfile, WriteToFullDeviceFails)
+{
+    if (access("/dev/full", W_OK) != 0)
+        GTEST_SKIP() << "no /dev/full";
+    // The profile fits in the stdio buffer, so the write fails only
+    // when the file is closed.
+    EXPECT_FALSE(
+        prof.writeFile("/dev/full", prof.analyze(K, 100), "CAIS", "mini"));
 }
 
 TEST(CausalProfile, ScopedCauseProvidesAmbientProvenance)

@@ -8,9 +8,12 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <random>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -202,6 +205,89 @@ TEST(JsonWriter, NonFiniteDoublesBecomeZero)
     ASSERT_TRUE(jsonParse(w.str(), v, error)) << error;
     EXPECT_DOUBLE_EQ(v.getNumber("inf"), 0.0);
     EXPECT_DOUBLE_EQ(v.getNumber("nan"), 0.0);
+}
+
+/** What the writer renders for a lone value. */
+template <typename T>
+std::string
+rendered(T v)
+{
+    JsonWriter w;
+    w.value(v);
+    return w.str();
+}
+
+std::string
+printfG17(double v)
+{
+    char buf[40];
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+    return buf;
+}
+
+TEST(JsonWriter, DoublesRenderLikePrintfG17)
+{
+    std::vector<double> cases = {
+        0.0, -0.0, 1.0, -1.0, 0.1, 0.5, 1.5, 87.5, 100.0 / 3.0,
+        std::numeric_limits<double>::denorm_min(),
+        -std::numeric_limits<double>::denorm_min(),
+        std::numeric_limits<double>::min() / 3.0,
+        std::numeric_limits<double>::min(),
+        std::numeric_limits<double>::max(),
+        -std::numeric_limits<double>::max(),
+        std::numeric_limits<double>::epsilon(),
+        1e16, 1e17, 1e21, 1e22, 1e23, -1e22, 123456789012345678.0,
+        1e-5, 1e-4, 0.0001234, 9007199254740991.0, 9007199254740992.0,
+        9007199254740993.0, 18446744073709551615.0};
+    for (int e = 0; e <= 53; ++e)
+        cases.push_back(std::ldexp(1.0, e));
+    // Trace timestamps: cycle counts over 1000.
+    for (std::uint64_t k = 0; k < 5000; ++k)
+        cases.push_back(static_cast<double>(k * 997 + k / 7) / 1000.0);
+    for (double v : cases)
+        EXPECT_EQ(rendered(v), printfG17(v)) << printfG17(v);
+
+    // Random finite bit patterns cover every exponent and mantissa.
+    std::mt19937_64 rng(0x5eed);
+    int checked = 0;
+    while (checked < 100000) {
+        std::uint64_t bits = rng();
+        double v;
+        std::memcpy(&v, &bits, sizeof(v));
+        if (!std::isfinite(v))
+            continue;
+        ++checked;
+        ASSERT_EQ(rendered(v), printfG17(v)) << "bits " << bits;
+    }
+}
+
+TEST(JsonWriter, IntegersRenderLikePrintf)
+{
+    char buf[32];
+    for (std::uint64_t v :
+         {std::uint64_t(0), std::uint64_t(1), std::uint64_t(9),
+          std::uint64_t(10), std::uint64_t(4294967295u),
+          std::uint64_t(4294967296u),
+          std::numeric_limits<std::uint64_t>::max() - 1,
+          std::numeric_limits<std::uint64_t>::max()}) {
+        std::snprintf(buf, sizeof(buf), "%llu",
+                      static_cast<unsigned long long>(v));
+        EXPECT_EQ(rendered(v), buf);
+    }
+    for (std::int64_t v :
+         {std::int64_t(0), std::int64_t(-1), std::int64_t(42),
+          std::numeric_limits<std::int64_t>::min(),
+          std::numeric_limits<std::int64_t>::min() + 1,
+          std::numeric_limits<std::int64_t>::max()}) {
+        std::snprintf(buf, sizeof(buf), "%lld",
+                      static_cast<long long>(v));
+        EXPECT_EQ(rendered(v), buf);
+    }
+    for (int v : {std::numeric_limits<int>::min(), -7, 0,
+                  std::numeric_limits<int>::max()}) {
+        std::snprintf(buf, sizeof(buf), "%d", v);
+        EXPECT_EQ(rendered(v), buf);
+    }
 }
 
 TEST(JsonParse, RejectsMalformedInput)

@@ -15,9 +15,11 @@
 #include <fstream>
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include "analysis/report.hh"
 #include "common/json.hh"
+#include "common/metrics.hh"
 #include "runtime/simulation_driver.hh"
 #include "workload/transformer.hh"
 
@@ -190,6 +192,19 @@ TEST(Observability, SamplePeriodDoesNotChangeResults)
 
     std::remove(coarse.tracePath.c_str());
     std::remove(fine.tracePath.c_str());
+}
+
+TEST(MetricsReport, WriteToFullDeviceFails)
+{
+    if (access("/dev/full", W_OK) != 0)
+        GTEST_SKIP() << "no /dev/full";
+    // The report fits in the stdio buffer, so the write fails only
+    // when the file is closed.
+    RunConfig cfg;
+    RunResult r;
+    MetricRegistry reg;
+    EXPECT_FALSE(
+        writeMetricsReport("/dev/full", cfg, r, reg.snapshot()));
 }
 
 } // namespace
