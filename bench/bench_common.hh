@@ -53,7 +53,7 @@ struct BenchArgs
         BenchArgs a;
         a.params = Params::fromArgs(argc, argv);
         // --no-verify: skip the cais-verify static gate (the one
-        // bench flag that is not key=value, mirroring cais_verify).
+        // bench flag that is not key=value, mirroring cais_matrix).
         for (int i = 1; i < argc; ++i)
             if (std::string(argv[i]) == "--no-verify")
                 a.params.set("verify", "0");

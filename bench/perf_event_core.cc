@@ -10,17 +10,15 @@
  *  - a fig12-shaped end-to-end run (CAIS strategy over a scaled-down
  *    Mega-GPT sub-layer) counting real simulator events.
  *
- * Each shape runs against three schedulers: a local replica of the
- * seed implementation (std::function callbacks in one binary heap),
- * the legacy single-heap mode of the current EventQueue, and the
- * default bucketed scheduler. CI uses the emitted
+ * The hop storm also runs against a local replica of the seed
+ * implementation (std::function callbacks in one binary heap), the
+ * baseline of the CI ratio gate. CI uses the emitted
  * BENCH_eventcore.json to enforce a throughput floor; see
  * .github/workflows/ci.yml.
  */
 
 #include <benchmark/benchmark.h>
 
-#include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <queue>
@@ -160,55 +158,15 @@ BM_HopStorm_SeedReplica(benchmark::State &state)
 BENCHMARK(BM_HopStorm_SeedReplica);
 
 void
-BM_HopStorm_Heap(benchmark::State &state)
-{
-    for (auto _ : state) {
-        EventQueue eq(EventQueue::SchedulerKind::heap);
-        benchmark::DoNotOptimize(hopStorm(eq));
-    }
-    state.SetItemsProcessed(state.iterations() * kChains * kHopsPerChain);
-}
-BENCHMARK(BM_HopStorm_Heap);
-
-void
 BM_HopStorm_Bucketed(benchmark::State &state)
 {
     for (auto _ : state) {
-        EventQueue eq(EventQueue::SchedulerKind::bucketed);
+        EventQueue eq;
         benchmark::DoNotOptimize(hopStorm(eq));
     }
     state.SetItemsProcessed(state.iterations() * kChains * kHopsPerChain);
 }
 BENCHMARK(BM_HopStorm_Bucketed);
-
-/**
- * Pin CAIS_EVENTQ for the duration of a scope so the System inside
- * runGraph constructs its EventQueue with the requested scheduler.
- */
-class ScopedEventqEnv
-{
-  public:
-    explicit ScopedEventqEnv(const char *kind)
-    {
-        if (const char *old = std::getenv("CAIS_EVENTQ")) {
-            hadOld = true;
-            oldVal = old;
-        }
-        setenv("CAIS_EVENTQ", kind, 1);
-    }
-
-    ~ScopedEventqEnv()
-    {
-        if (hadOld)
-            setenv("CAIS_EVENTQ", oldVal.c_str(), 1);
-        else
-            unsetenv("CAIS_EVENTQ");
-    }
-
-  private:
-    bool hadOld = false;
-    std::string oldVal;
-};
 
 /** Fig. 12-shaped job: CAIS on a scaled-down Mega-GPT L3 sub-layer. */
 RunResult
@@ -225,25 +183,10 @@ fig12Shaped()
 }
 
 void
-BM_Fig12Shaped_Heap(benchmark::State &state)
-{
-    std::uint64_t events = 0;
-    for (auto _ : state) {
-        ScopedEventqEnv env("heap");
-        RunResult r = fig12Shaped();
-        events += r.eventsExecuted;
-        benchmark::DoNotOptimize(r.makespan);
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(events));
-}
-BENCHMARK(BM_Fig12Shaped_Heap);
-
-void
 BM_Fig12Shaped_Bucketed(benchmark::State &state)
 {
     std::uint64_t events = 0;
     for (auto _ : state) {
-        ScopedEventqEnv env("bucketed");
         RunResult r = fig12Shaped();
         events += r.eventsExecuted;
         benchmark::DoNotOptimize(r.makespan);

@@ -49,7 +49,7 @@ namespace cais
 class JsonWriter;
 class System;
 
-/** Schema tag of the JSON document cais_bound emits. */
+/** Schema tag of the JSON document cais_matrix --bound emits. */
 inline constexpr const char *boundSchemaVersion = "cais-bound-v1";
 
 /**
@@ -85,7 +85,7 @@ struct BoundResult
     std::string json() const;
 
     /** Write this result as one JSON object into @p w (used by
-     *  json() and by cais_bound's aggregate document). */
+     *  json() and by cais_matrix --bound's aggregate document). */
     void writeJson(JsonWriter &w) const;
 };
 

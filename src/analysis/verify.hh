@@ -41,7 +41,7 @@
  *
  * Diagnostics are structured: renderable as human-readable text with
  * a fix-it hint per rule, or as a schema-versioned cais-verify-v1
- * JSON document for CI artifacts (tools/cais_verify).
+ * JSON document for CI artifacts (tools/cais_matrix --verify).
  */
 
 #ifndef CAIS_ANALYSIS_VERIFY_HH
@@ -147,7 +147,7 @@ struct VerifyResult
     std::string json() const;
 
     /** Write this result as one JSON object into @p w (used by
-     *  json() and by cais_verify's aggregate document). */
+     *  json() and by cais_matrix --verify's aggregate document). */
     void writeJson(JsonWriter &w) const;
 };
 

@@ -1,8 +1,6 @@
 #include "common/event_queue.hh"
 
 #include <bit>
-#include <cstdlib>
-#include <cstring>
 
 #include "common/log.hh"
 
@@ -14,27 +12,9 @@ namespace
 
 constexpr Cycle noCycle = ~0ull;
 
-EventQueue::SchedulerKind
-kindFromEnv()
-{
-    if (const char *env = std::getenv("CAIS_EVENTQ")) {
-        if (std::strcmp(env, "heap") == 0)
-            return EventQueue::SchedulerKind::heap;
-        if (*env != '\0' && std::strcmp(env, "bucketed") != 0)
-            warn("CAIS_EVENTQ=%s not recognized; using bucketed", env);
-    }
-    return EventQueue::SchedulerKind::bucketed;
-}
-
 } // namespace
 
-EventQueue::EventQueue() : EventQueue(kindFromEnv()) {}
-
-EventQueue::EventQueue(SchedulerKind kind) : mode(kind)
-{
-    if (mode == SchedulerKind::bucketed)
-        buckets.resize(nearWindow);
-}
+EventQueue::EventQueue() : buckets(nearWindow) {}
 
 std::uint32_t
 EventQueue::allocSlot()
@@ -103,7 +83,7 @@ EventQueue::enqueue(std::uint32_t idx, Cycle when)
     s.seq = nextSeq++;
     s.next = nilIdx;
 
-    if (mode == SchedulerKind::bucketed && when - curTick < nearWindow) {
+    if (when - curTick < nearWindow) {
         std::size_t b = static_cast<std::size_t>(when & bucketMask);
         Fifo &f = buckets[b];
         if (f.head == nilIdx) {

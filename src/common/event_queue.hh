@@ -6,16 +6,11 @@
  * callbacks at absolute or relative cycles; ties are broken by
  * insertion order so simulations are fully deterministic.
  *
- * Two implementations share the same (when, seq) total order:
- *
- *  - **bucketed** (default): a calendar-queue-style near-future ring
- *    of `nearWindow` per-cycle FIFO buckets backed by a far-future
- *    binary heap. Scheduling within the window and popping are O(1)
- *    amortized; only events more than `nearWindow` cycles out touch
- *    the heap.
- *  - **heap**: the original single binary heap, kept for one release
- *    behind `CAIS_EVENTQ=heap` as a determinism cross-check (see
- *    tests/test_event_determinism.cc).
+ * The scheduler is a calendar-queue-style near-future ring of
+ * `nearWindow` per-cycle FIFO buckets backed by a far-future binary
+ * heap, both ordered by (when, seq). Scheduling within the window and
+ * popping are O(1) amortized; only events more than `nearWindow`
+ * cycles out touch the heap.
  *
  * Callbacks are `InlineEvent`s: move-only callables stored entirely
  * inside the event entry (no heap allocation, ever — a capture that
@@ -167,13 +162,6 @@ class EventQueue
   public:
     using Callback = InlineEvent;
 
-    /** Scheduler implementation selector (see file comment). */
-    enum class SchedulerKind
-    {
-        bucketed, ///< near-future bucket ring + far-future heap
-        heap,     ///< legacy single binary heap
-    };
-
     /**
      * Cycles covered by the near-future bucket ring (power of two).
      * Covers link latency (250) plus worst-case serialization with
@@ -182,11 +170,8 @@ class EventQueue
      */
     static constexpr Cycle nearWindow = 4096;
 
-    /** Scheduler kind chosen via CAIS_EVENTQ ("heap" selects legacy). */
+    /** An empty queue at cycle 0. */
     EventQueue();
-
-    /** Scheduler kind pinned explicitly (unit tests). */
-    explicit EventQueue(SchedulerKind kind);
 
     /**
      * Schedule callable @p f at absolute cycle @p when (>= now),
@@ -255,9 +240,6 @@ class EventQueue
      */
     void setPeriodicObserver(Cycle period,
                              std::function<void(Cycle)> fn);
-
-    /** Scheduler implementation in use. */
-    SchedulerKind kind() const { return mode; }
 
     /**
      * Reset time to zero and discard all pending events. The
@@ -363,8 +345,6 @@ class EventQueue
     /** Detach and return the earliest (when, seq) slot's index. */
     std::uint32_t popNext();
 
-    SchedulerKind mode;
-
     // Slot arena: chunked so addresses stay stable while callbacks
     // execute (an in-flight callback may grow the arena).
     std::vector<std::unique_ptr<Slot[]>> chunks;
@@ -376,8 +356,7 @@ class EventQueue
     std::uint64_t occupied[bitmapWords] = {};
     std::size_t nearCount = 0;
 
-    // Far-future events, and the only ordering in legacy heap mode
-    // (payloads stay in the arena either way).
+    // Far-future events (payloads stay in the arena).
     std::priority_queue<HeapKey, std::vector<HeapKey>, Later> heap;
 
     Cycle curTick = 0;

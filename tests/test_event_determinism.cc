@@ -1,40 +1,20 @@
 /**
  * @file
- * Determinism regression for the event-core overhaul: the bucketed
- * scheduler (default) and the legacy single-heap scheduler (behind
- * CAIS_EVENTQ=heap) implement the same (when, seq) total order, so a
- * full end-to-end run must produce bit-identical results — makespan,
- * utilizations, merge-unit counters, per-kernel timings, and a
- * StatRegistry snapshot of live counters — under either one.
+ * Determinism regression for the event core: repeated end-to-end runs
+ * of one configuration must produce bit-identical results — makespan,
+ * utilizations, merge-unit counters and per-kernel timings.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <map>
-#include <string>
-
-#include "common/stats.hh"
 #include "runtime/execution_strategy.hh"
 #include "runtime/simulation_driver.hh"
-#include "runtime/system.hh"
 #include "workload/transformer.hh"
 
 using namespace cais;
 
 namespace
 {
-
-/** Pin CAIS_EVENTQ while a test body runs. */
-class ScopedEventqEnv
-{
-  public:
-    explicit ScopedEventqEnv(const char *kind)
-    {
-        setenv("CAIS_EVENTQ", kind, 1);
-    }
-    ~ScopedEventqEnv() { unsetenv("CAIS_EVENTQ"); }
-};
 
 RunConfig
 smallConfig()
@@ -53,51 +33,13 @@ smallModel()
     return m;
 }
 
-/** End-to-end run under @p kind, harvested through runGraph. */
+/** End-to-end run harvested through runGraph. */
 RunResult
-runSmall(const char *kind, const char *strategy, SubLayerId sub)
+runSmall(const char *strategy, SubLayerId sub)
 {
-    ScopedEventqEnv env(kind);
     return runGraph(strategyByName(strategy),
                     buildSubLayer(smallModel(), sub), smallConfig(),
                     subLayerName(sub));
-}
-
-/**
- * End-to-end run under @p kind with a live System, snapshotting the
- * merge-unit counters through a StatRegistry.
- */
-std::map<std::string, double>
-snapshotSmall(const char *kind)
-{
-    ScopedEventqEnv env(kind);
-    StrategySpec spec = strategyByName("CAIS");
-    OpGraph graph = buildSubLayer(smallModel(), SubLayerId::L2);
-    RunConfig cfg = smallConfig();
-
-    System sys(cfg.toSystemConfig(spec));
-    GraphLowering lowering(sys, graph, spec.opts);
-    lowering.lower();
-    sys.run();
-
-    StatRegistry reg;
-    for (SwitchId s = 0; s < sys.numSwitches(); ++s) {
-        const MergeStats &ms = sys.switchCompute(s).merge().stats();
-        std::string p = "switch" + std::to_string(s) + ".merge.";
-        reg.add(p + "loadReqs", &ms.loadReqs);
-        reg.add(p + "redReqs", &ms.redReqs);
-        reg.add(p + "loadHits", &ms.loadHits);
-        reg.add(p + "redHits", &ms.redHits);
-        reg.add(p + "fetches", &ms.fetches);
-        reg.add(p + "mergedWrites", &ms.mergedWrites);
-        reg.add(p + "unmergedWrites", &ms.unmergedWrites);
-        reg.add(p + "sessionsOpened", &ms.sessionsOpened);
-        reg.add(p + "sessionsClosed", &ms.sessionsClosed);
-    }
-    auto snap = reg.snapshot();
-    snap["makespan"] = static_cast<double>(sys.makespan());
-    snap["events"] = static_cast<double>(sys.eq().executed());
-    return snap;
 }
 
 /** Field-by-field bit equality of two harvested results. */
@@ -136,32 +78,9 @@ expectIdentical(const RunResult &a, const RunResult &b)
 
 } // namespace
 
-TEST(EventDeterminism, BucketedMatchesHeapAcrossStrategies)
-{
-    for (const char *strategy : {"CAIS", "SP-NVLS", "LADM"}) {
-        for (SubLayerId sub : {SubLayerId::L1, SubLayerId::L3}) {
-            RunResult bucketed = runSmall("bucketed", strategy, sub);
-            RunResult heap = runSmall("heap", strategy, sub);
-            SCOPED_TRACE(std::string(strategy) + "/" + subLayerName(sub));
-            expectIdentical(bucketed, heap);
-        }
-    }
-}
-
-TEST(EventDeterminism, StatSnapshotsBitIdentical)
-{
-    auto bucketed = snapshotSmall("bucketed");
-    auto heap = snapshotSmall("heap");
-    ASSERT_EQ(bucketed.size(), heap.size());
-    for (const auto &[name, value] : bucketed) {
-        ASSERT_TRUE(heap.count(name)) << name;
-        EXPECT_EQ(value, heap.at(name)) << name;
-    }
-}
-
 TEST(EventDeterminism, RepeatedRunsAreBitIdentical)
 {
-    RunResult first = runSmall("bucketed", "CAIS", SubLayerId::L2);
-    RunResult second = runSmall("bucketed", "CAIS", SubLayerId::L2);
+    RunResult first = runSmall("CAIS", SubLayerId::L2);
+    RunResult second = runSmall("CAIS", SubLayerId::L2);
     expectIdentical(first, second);
 }

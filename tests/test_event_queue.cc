@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <numeric>
 #include <random>
 #include <type_traits>
 
@@ -102,42 +105,61 @@ TEST(EventQueueDeathTest, SchedulingInThePastPanics)
 }
 
 // ---------------------------------------------------------------------
-// Bucketed-vs-heap scheduler equivalence and boundary behavior.
+// (when, seq) ordering and near-ring/far-heap boundary behavior.
 // ---------------------------------------------------------------------
 
-/** Both scheduler kinds must produce the same execution order. */
-static std::vector<int>
-runRandomSchedule(EventQueue::SchedulerKind kind, unsigned seed)
+/** Each scheduled event's cycle, in scheduling order, and the
+ *  scheduling indices in the order the events ran. */
+struct RandomRun
 {
-    EventQueue eq(kind);
-    std::vector<int> order;
+    std::vector<Cycle> when;
+    std::vector<std::size_t> ran;
+};
+
+static RandomRun
+runRandomSchedule(unsigned seed)
+{
+    EventQueue eq;
+    RandomRun run;
+    auto at = [&](Cycle when, std::function<void()> then) {
+        std::size_t idx = run.when.size();
+        run.when.push_back(when);
+        eq.schedule(when, [&run, idx, then = std::move(then)] {
+            run.ran.push_back(idx);
+            if (then)
+                then();
+        });
+    };
     std::mt19937 rng(seed);
     // Mixed same-cycle bursts, in-window deltas, and far-heap deltas.
     std::uniform_int_distribution<Cycle> delta(0, 3 * EventQueue::nearWindow);
-    int id = 0;
     for (int i = 0; i < 64; ++i)
-        eq.schedule(delta(rng), [&order, tag = id++] {
-            order.push_back(tag);
-        });
+        at(delta(rng), nullptr);
     // Self-scheduling events interleave with the static batch.
     int hops = 0;
     std::function<void()> chain = [&] {
-        order.push_back(1000 + hops);
         if (++hops < 256)
-            eq.scheduleAfter(1 + static_cast<Cycle>(hops % 97), chain);
+            at(eq.now() + 1 + static_cast<Cycle>(hops % 97), chain);
     };
-    eq.schedule(0, chain);
+    at(0, chain);
     eq.runAll();
-    return order;
+    return run;
 }
 
-TEST(EventQueue, SchedulerKindsAgreeOnRandomSchedule)
+TEST(EventQueue, RandomScheduleRunsInWhenSeqOrder)
 {
+    // The contract: events run by cycle, ties in scheduling order.
+    // A stable sort of the scheduling order by cycle gives exactly
+    // that order, whichever of the ring or the heap held each event.
     for (unsigned seed : {1u, 2u, 42u}) {
-        auto bucketed =
-            runRandomSchedule(EventQueue::SchedulerKind::bucketed, seed);
-        auto heap = runRandomSchedule(EventQueue::SchedulerKind::heap, seed);
-        EXPECT_EQ(bucketed, heap) << "seed " << seed;
+        RandomRun run = runRandomSchedule(seed);
+        std::vector<std::size_t> expected(run.when.size());
+        std::iota(expected.begin(), expected.end(), std::size_t{0});
+        std::stable_sort(expected.begin(), expected.end(),
+                         [&](std::size_t a, std::size_t b) {
+                             return run.when[a] < run.when[b];
+                         });
+        EXPECT_EQ(run.ran, expected) << "seed " << seed;
     }
 }
 
@@ -146,7 +168,7 @@ TEST(EventQueue, SameCycleFifoAcrossBucketAndHeap)
     // Events landing on one cycle run in insertion order even when
     // some were scheduled via the near ring and some via the far
     // heap (scheduled before time advanced into the window).
-    EventQueue eq(EventQueue::SchedulerKind::bucketed);
+    EventQueue eq;
     std::vector<int> order;
     const Cycle target = 2 * EventQueue::nearWindow;
     eq.schedule(target, [&] { order.push_back(0); });            // far heap
@@ -161,7 +183,7 @@ TEST(EventQueue, SameCycleFifoAcrossBucketAndHeap)
 
 TEST(EventQueue, BucketWindowBoundaryCrossing)
 {
-    EventQueue eq(EventQueue::SchedulerKind::bucketed);
+    EventQueue eq;
     std::vector<Cycle> fired;
     auto hit = [&] { fired.push_back(eq.now()); };
     // Straddle the near-window edge: in-window, last in-window
@@ -180,7 +202,7 @@ TEST(EventQueue, BucketWindowBoundaryCrossing)
 
 TEST(EventQueue, RunUntilLeavesFarEventsPending)
 {
-    EventQueue eq(EventQueue::SchedulerKind::bucketed);
+    EventQueue eq;
     int near_hits = 0, far_hits = 0;
     eq.schedule(100, [&] { ++near_hits; });
     eq.schedule(5 * EventQueue::nearWindow, [&] { ++far_hits; });
@@ -195,7 +217,7 @@ TEST(EventQueue, RunUntilLeavesFarEventsPending)
 
 TEST(EventQueue, ResetReproducesTieBreaks)
 {
-    EventQueue eq(EventQueue::SchedulerKind::bucketed);
+    EventQueue eq;
     auto run = [&] {
         std::vector<int> order;
         for (int i = 0; i < 4; ++i)
@@ -210,16 +232,6 @@ TEST(EventQueue, ResetReproducesTieBreaks)
     EXPECT_EQ(eq.executed(), 0u);
     auto second = run();
     EXPECT_EQ(first, second);
-}
-
-TEST(EventQueue, KindSelectionFromEnv)
-{
-    setenv("CAIS_EVENTQ", "heap", 1);
-    EXPECT_EQ(EventQueue().kind(), EventQueue::SchedulerKind::heap);
-    setenv("CAIS_EVENTQ", "bucketed", 1);
-    EXPECT_EQ(EventQueue().kind(), EventQueue::SchedulerKind::bucketed);
-    unsetenv("CAIS_EVENTQ");
-    EXPECT_EQ(EventQueue().kind(), EventQueue::SchedulerKind::bucketed);
 }
 
 // ---------------------------------------------------------------------
@@ -335,7 +347,7 @@ TEST(InlineEvent, TriviallyCopyableCaptureMovesByValue)
 
 TEST(EventQueue, InPlaceCaptureDestroyedOnceWhenRun)
 {
-    EventQueue eq(EventQueue::SchedulerKind::bucketed);
+    EventQueue eq;
     int dtors = 0;
     int runs = 0;
     eq.schedule(5, [d = DtorCounter(&dtors), &runs] { ++runs; });
@@ -349,18 +361,15 @@ TEST(EventQueue, InPlaceCaptureDestroyedOnceWhenRun)
 
 TEST(EventQueue, ResetDestroysUnrunCapturesOnce)
 {
-    for (auto kind : {EventQueue::SchedulerKind::bucketed,
-                      EventQueue::SchedulerKind::heap}) {
-        EventQueue eq(kind);
-        int dtors = 0;
-        bool ran = false;
-        eq.schedule(3, [d = DtorCounter(&dtors), &ran] { ran = true; });
-        // Far enough out to take the far-future heap when bucketed.
-        eq.schedule(EventQueue::nearWindow * 3,
-                    [d = DtorCounter(&dtors), &ran] { ran = true; });
-        eq.reset();
-        EXPECT_FALSE(ran);
-        EXPECT_EQ(dtors, 2);
-        EXPECT_TRUE(eq.empty());
-    }
+    EventQueue eq;
+    int dtors = 0;
+    bool ran = false;
+    eq.schedule(3, [d = DtorCounter(&dtors), &ran] { ran = true; });
+    // Far enough out to take the far-future heap.
+    eq.schedule(EventQueue::nearWindow * 3,
+                [d = DtorCounter(&dtors), &ran] { ran = true; });
+    eq.reset();
+    EXPECT_FALSE(ran);
+    EXPECT_EQ(dtors, 2);
+    EXPECT_TRUE(eq.empty());
 }

@@ -164,7 +164,7 @@ TEST(CreditLink, DequeueCallbackFiresPerPacket)
 
 TEST(CreditLinkDeathTest, VcCountMustFitTheReadyMask)
 {
-    EventQueue eq(EventQueue::SchedulerKind::bucketed);
+    EventQueue eq;
     EXPECT_DEATH(CreditLink(eq, "wide", 100.0, 0, 33, 8, 1000),
                  "ready-mask bit");
     CreditLink widest(eq, "widest", 100.0, 0, 32, 8, 1000);
