@@ -302,9 +302,6 @@ class CausalProfiler
     /** Sort the recorded edges into canonical order. */
     void finalize();
 
-    /** Total recorded edges (valid after finalize()). */
-    std::size_t numEdges() const { return edges.size(); }
-
     /** Backward walk from (@p start, @p makespan). */
     Attribution analyze(ProfNode start, Cycle makespan) const;
 

@@ -142,47 +142,6 @@ leafUpCouplings()
     return c;
 }
 
-/** Channel index space: (direction, gpu, switch, vc). */
-struct ChannelGraph
-{
-    int G, S, V;
-    bool unified;
-
-    int
-    id(int dir, GpuId g, SwitchId s, int v) const
-    {
-        return ((dir * G + g) * S + s) * V + v;
-    }
-
-    int
-    count() const
-    {
-        return 2 * G * S * V;
-    }
-
-    std::string
-    name(int node) const
-    {
-        int v = node % V;
-        int rest = node / V;
-        int s = rest % S;
-        rest /= S;
-        int g = rest % G;
-        int dir = rest / G;
-        if (dir == 0)
-            return strfmt("gpu%d->sw%d vc%d(%s)", g, s, v,
-                          vcClassName(v));
-        return strfmt("sw%d->gpu%d vc%d(%s)", s, g, v,
-                      vcClassName(v));
-    }
-
-    int
-    vcOf(VcClass c) const
-    {
-        return static_cast<int>(policedVc(c, unified));
-    }
-};
-
 /** Sort/dedupe adjacency, then DFS for the first back edge (in
  *  ascending node order, so reports are deterministic). @p name maps
  *  a channel node id to its diagnostic label. */
@@ -248,22 +207,25 @@ reportFirstChannelCycle(
 }
 
 /**
- * Multi-tier channel-dependency graph. Four channel families --
- * GPU->leaf (U1) and leaf->GPU (D1) indexed by (gpu, rail), and
- * leaf->spine (U2) / spine->leaf (D2) indexed by (leaf, spine) --
- * with turn edges mirroring the tiered protocol: a leaf turns local
- * traffic down with the flat coupling set and forwards/aggregates
- * upstream class-identically; the spine turns every upstream arrival
- * down with the flat coupling set; a leaf fans spine traffic out to
- * its local GPUs; GPUs couple downlink arrivals to uplink emissions
- * exactly as on the flat fabric.
+ * Channel-dependency graph of the leaf/spine fabric. Four channel
+ * families -- GPU->leaf (U1) and leaf->GPU (D1) indexed by (gpu,
+ * rail), and leaf->spine (U2) / spine->leaf (D2) indexed by (leaf,
+ * spine) -- with turn edges mirroring the tiered protocol: a leaf
+ * turns local traffic down with the switch coupling set and
+ * forwards/aggregates upstream class-identically; the spine turns
+ * every upstream arrival down with the switch coupling set; a leaf
+ * fans spine traffic out to its local GPUs; GPUs couple downlink
+ * arrivals to uplink emissions. The flat fabric is the one-group,
+ * zero-spine case: U2/D2 are empty, and U1/D1 are the (direction,
+ * gpu, switch, vc) channels in that order, labelled gpuG->swS and
+ * swS->gpuG.
  */
 void
-checkV1Tiered(Ctx &cx)
+checkV1(Ctx &cx)
 {
     const FabricParams &p = cx.sys.config().fabric;
     const int G = p.numGpus, V = p.sw.numVcs;
-    const int rails = p.railsPerGroup, L = p.numLeaves();
+    const int rails = p.uplinksPerGpu(), L = p.numLeaves();
     const int P = p.numSpines, gpp = p.gpusPerGroup();
     const bool unified = p.sw.unifiedDataVc;
 
@@ -296,6 +258,11 @@ checkV1Tiered(Ctx &cx)
             int r = gr % rails;
             GpuId g = gr / rails;
             int grp = g / gpp;
+            if (P == 0)
+                return down ? strfmt("sw%d->gpu%d vc%d(%s)", r, g, v,
+                                     vcClassName(v))
+                            : strfmt("gpu%d->sw%d vc%d(%s)", g, r, v,
+                                     vcClassName(v));
             if (down)
                 return strfmt("leaf%d.sw%d->gpu%d vc%d(%s)", grp, r,
                               g, v, vcClassName(v));
@@ -382,53 +349,6 @@ checkV1Tiered(Ctx &cx)
     }
 
     reportFirstChannelCycle(cx, adj, name);
-}
-
-void
-checkV1(Ctx &cx)
-{
-    const FabricParams &p = cx.sys.config().fabric;
-    if (p.multiTier()) {
-        checkV1Tiered(cx);
-        return;
-    }
-    ChannelGraph cg{p.numGpus, p.numSwitches, p.sw.numVcs,
-                    p.sw.unifiedDataVc};
-
-    // Adjacency as sorted unique edge targets per node.
-    std::vector<std::vector<int>> adj(
-        static_cast<std::size_t>(cg.count()));
-    auto addEdge = [&](int a, int b) {
-        adj[static_cast<std::size_t>(a)].push_back(b);
-    };
-
-    auto switchTurn = [&](VcClass from, VcClass to) {
-        int a = cg.vcOf(from), b = cg.vcOf(to);
-        for (SwitchId s = 0; s < cg.S; ++s)
-            for (GpuId g = 0; g < cg.G; ++g)
-                for (GpuId d = 0; d < cg.G; ++d)
-                    addEdge(cg.id(0, g, s, a), cg.id(1, d, s, b));
-    };
-    auto gpuTurn = [&](VcClass from, VcClass to) {
-        int a = cg.vcOf(from), b = cg.vcOf(to);
-        for (SwitchId s = 0; s < cg.S; ++s)
-            for (GpuId g = 0; g < cg.G; ++g)
-                addEdge(cg.id(1, g, s, a), cg.id(0, g, s, b));
-    };
-
-    for (const Coupling &c : switchCouplings())
-        switchTurn(c.from, c.to);
-    for (const Coupling &c : gpuCouplings())
-        gpuTurn(c.from, c.to);
-    for (const ExtraCoupling &c : cx.opts.extraCouplings) {
-        if (c.atGpu)
-            gpuTurn(c.from, c.to);
-        else
-            switchTurn(c.from, c.to);
-    }
-
-    reportFirstChannelCycle(
-        cx, adj, [&cg](int node) { return cg.name(node); });
 }
 
 // ------------------------------------------------------------------

@@ -1,7 +1,5 @@
 #include "common/metrics.hh"
 
-#include <sstream>
-
 #include "common/json.hh"
 #include "common/log.hh"
 
@@ -311,16 +309,6 @@ MetricRegistry::snapshot() const
         out.emplace(path, std::move(v));
     }
     return MetricSnapshot(std::move(out));
-}
-
-std::string
-MetricRegistry::dump() const
-{
-    std::ostringstream os;
-    MetricSnapshot snap = snapshot();
-    for (const auto &[path, v] : snap.all())
-        os << path << " = " << v.value << "\n";
-    return os.str();
 }
 
 } // namespace cais

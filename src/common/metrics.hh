@@ -169,9 +169,6 @@ class MetricRegistry
     /** Read every metric now. */
     MetricSnapshot snapshot() const;
 
-    /** Render "path = scalar" lines (debugging aid). */
-    std::string dump() const;
-
   private:
     struct Slot
     {

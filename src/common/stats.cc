@@ -1,7 +1,6 @@
 #include "common/stats.hh"
 
 #include <cmath>
-#include <sstream>
 
 #include "common/log.hh"
 
@@ -133,40 +132,6 @@ TimeSeries::meanOver(std::size_t first, std::size_t last) const
     for (std::size_t i = first; i < last; ++i)
         s += binValue(i);
     return s / static_cast<double>(last - first);
-}
-
-void
-StatRegistry::add(const std::string &name, const Counter *c)
-{
-    slots[name] = Slot{c, [](const void *p) {
-        return static_cast<double>(static_cast<const Counter *>(p)->value());
-    }};
-}
-
-void
-StatRegistry::add(const std::string &name, const Accumulator *a)
-{
-    slots[name] = Slot{a, [](const void *p) {
-        return static_cast<const Accumulator *>(p)->mean();
-    }};
-}
-
-std::map<std::string, double>
-StatRegistry::snapshot() const
-{
-    std::map<std::string, double> out;
-    for (const auto &[name, slot] : slots)
-        out[name] = slot.read(slot.obj);
-    return out;
-}
-
-std::string
-StatRegistry::dump() const
-{
-    std::ostringstream os;
-    for (const auto &[name, value] : snapshot())
-        os << name << " = " << value << "\n";
-    return os.str();
 }
 
 } // namespace cais

@@ -1,10 +1,10 @@
 /**
  * @file
  * Lightweight statistics package: scalar counters, accumulators,
- * histograms and binned time series, plus a registry for dumping.
+ * histograms and binned time series.
  *
- * Components own their stats by value; a StatRegistry only holds
- * non-owning pointers for end-of-run reporting.
+ * Components own their stats by value; a MetricRegistry
+ * (common/metrics.hh) only holds non-owning pointers for reporting.
  */
 
 #ifndef CAIS_COMMON_STATS_HH
@@ -13,7 +13,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -135,7 +134,6 @@ class TimeSeries
     void reset();
 
     Cycle binWidth() const { return width; }
-    std::size_t numBins() const { return bins.size(); }
 
     /** Accumulated amount in bin @p i (0 beyond the recorded range). */
     double binValue(std::size_t i) const;
@@ -151,34 +149,6 @@ class TimeSeries
 
     Cycle width;
     std::vector<double> bins;
-};
-
-/** Non-owning registry mapping names to scalar stat readers. */
-class StatRegistry
-{
-  public:
-    using Reader = double (*)(const void *);
-
-    /** Register a counter under @p name. */
-    void add(const std::string &name, const Counter *c);
-
-    /** Register an accumulator's mean under @p name. */
-    void add(const std::string &name, const Accumulator *a);
-
-    /** Read every registered stat. */
-    std::map<std::string, double> snapshot() const;
-
-    /** Render "name = value" lines. */
-    std::string dump() const;
-
-  private:
-    struct Slot
-    {
-        const void *obj;
-        Reader read;
-    };
-
-    std::map<std::string, Slot> slots;
 };
 
 } // namespace cais

@@ -30,14 +30,6 @@ class SwitchTraceHooks
   public:
     virtual ~SwitchTraceHooks() = default;
 
-    /** A merge session opened at @p port for @p addr. */
-    virtual void
-    onMergeSessionOpen(SwitchId sw, GpuId port, Addr addr,
-                       bool is_load, Cycle at)
-    {
-        (void)sw, (void)port, (void)addr, (void)is_load, (void)at;
-    }
-
     /**
      * A merge session closed (completed or evicted).
      * @param hits requests merged into the session.

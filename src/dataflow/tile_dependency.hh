@@ -136,7 +136,6 @@ class AddressMap
     bool dispatch(GpuId gpu, Addr addr, std::uint32_t bytes,
                   int contribs);
 
-    std::size_t numRanges() const { return ranges.size(); }
     std::uint64_t unmatchedArrivals() const { return unmatched.value(); }
 
   private:

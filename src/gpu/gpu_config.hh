@@ -82,7 +82,12 @@ struct GpuParams
         return flopsPerCyclePerSm * gemmEfficiency;
     }
 
+    /** First inconsistency as a message, or "" when valid. */
+    std::string validationError() const;
+
+    /** Abort with a message if the parameters are inconsistent. */
     void validate() const;
+
     std::string str() const;
 };
 

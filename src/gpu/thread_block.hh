@@ -66,7 +66,6 @@ class TbRun
     /** Diagnostic state string for stall reports. */
     std::string stateStr() const;
     const TbDesc &desc() const { return tb; }
-    const KernelDesc &kernelDesc() const { return kernel; }
 
   private:
     void afterLaunchSync();

@@ -99,7 +99,6 @@ class CreditLink : public Probe
     void returnCredit(int vc);
 
     double bytesPerCycle() const { return bw; }
-    Cycle latencyCycles() const { return lat; }
     int numVcs() const { return static_cast<int>(queues.size()); }
 
     std::size_t queueLen(int vc) const { return queues[vc].size(); }

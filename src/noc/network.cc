@@ -24,62 +24,23 @@ validated(const FabricParams &params)
 
 Fabric::Fabric(EventQueue &eq_, const FabricParams &params)
     : eq(eq_), p(validated(params)),
-      route(p.multiTier() ? p.railsPerGroup : p.numSwitches,
-            p.interleaveBytes)
+      route(p.uplinksPerGpu(), p.interleaveBytes)
 {
-    if (p.multiTier())
-        buildTiered();
-    else
-        buildFlat();
+    build();
 }
 
 void
-Fabric::buildFlat()
-{
-    double link_bw = p.perLinkBytesPerCycle();
-
-    switches.reserve(static_cast<std::size_t>(p.numSwitches));
-    for (SwitchId s = 0; s < p.numSwitches; ++s) {
-        switches.push_back(std::make_unique<SwitchChip>(
-            eq, s, switchNodeId(s), p.numGpus, p.sw));
-        switches.back()->setPacketIds(&pktIds);
-    }
-
-    up.resize(static_cast<std::size_t>(p.numGpus));
-    down.resize(static_cast<std::size_t>(p.numSwitches));
-    for (SwitchId s = 0; s < p.numSwitches; ++s)
-        down[static_cast<std::size_t>(s)].resize(
-            static_cast<std::size_t>(p.numGpus));
-
-    for (GpuId g = 0; g < p.numGpus; ++g) {
-        auto &row = up[static_cast<std::size_t>(g)];
-        row.resize(static_cast<std::size_t>(p.numSwitches));
-        for (SwitchId s = 0; s < p.numSwitches; ++s) {
-            row[static_cast<std::size_t>(s)] = std::make_unique<CreditLink>(
-                eq, strfmt("up.g%d.s%d", g, s), link_bw, p.linkLatency,
-                p.sw.numVcs, p.vcCredits, p.utilBinWidth);
-            switches[static_cast<std::size_t>(s)]->attachUplink(
-                g, row[static_cast<std::size_t>(s)].get());
-
-            auto dl = std::make_unique<CreditLink>(
-                eq, strfmt("dn.s%d.g%d", s, g), link_bw,
-                p.linkLatency, p.sw.numVcs, p.vcCredits, p.utilBinWidth);
-            switches[static_cast<std::size_t>(s)]->attachDownlink(
-                g, dl.get());
-            down[static_cast<std::size_t>(s)][static_cast<std::size_t>(g)] =
-                std::move(dl);
-        }
-    }
-}
-
-void
-Fabric::buildTiered()
+Fabric::build()
 {
     const int gpp = p.gpusPerGroup();
+    const int rails = p.uplinksPerGpu();
     const int leaves = p.numLeaves();
     const double rail_bw = p.perLinkBytesPerCycle();
     const double tier_bw = p.effectiveTierLinkBytesPerCycle();
     const Cycle tier_lat = p.effectiveTierLinkLatency();
+    // GPU-facing links name their switch "s<S>" on the flat fabric
+    // and "l<L>" (a leaf) on a leaf/spine one.
+    const char seg = p.numSpines > 0 ? 'l' : 's';
 
     // Leaves own ports [0, gpp) for local GPUs and [gpp, gpp+spines)
     // for the spines; spines own one port per leaf.
@@ -101,17 +62,17 @@ Fabric::buildTiered()
         int grp = g / gpp;
         int local = g % gpp;
         auto &row = up[static_cast<std::size_t>(g)];
-        row.resize(static_cast<std::size_t>(p.railsPerGroup));
-        for (int r = 0; r < p.railsPerGroup; ++r) {
+        row.resize(static_cast<std::size_t>(rails));
+        for (int r = 0; r < rails; ++r) {
             int l = p.leafIndex(grp, r);
             row[static_cast<std::size_t>(r)] = std::make_unique<CreditLink>(
-                eq, strfmt("up.g%d.l%d", g, l), rail_bw, p.linkLatency,
-                p.sw.numVcs, p.vcCredits, p.utilBinWidth);
+                eq, strfmt("up.g%d.%c%d", g, seg, l), rail_bw,
+                p.linkLatency, p.sw.numVcs, p.vcCredits, p.utilBinWidth);
             switches[static_cast<std::size_t>(l)]->attachUplink(
                 local, row[static_cast<std::size_t>(r)].get());
 
             auto dl = std::make_unique<CreditLink>(
-                eq, strfmt("dn.l%d.g%d", l, g), rail_bw,
+                eq, strfmt("dn.%c%d.g%d", seg, l, g), rail_bw,
                 p.linkLatency, p.sw.numVcs, p.vcCredits, p.utilBinWidth);
             switches[static_cast<std::size_t>(l)]->attachDownlink(
                 local, dl.get());
@@ -152,8 +113,13 @@ Fabric::buildTiered()
         }
     }
 
+    // Without spines every packet's output port is its destination
+    // GPU, the switch chip's default; a port router would only add a
+    // call per hop (and the leaf one would hash over zero spines).
+    if (p.numSpines == 0)
+        return;
     for (int l = 0; l < leaves; ++l) {
-        int lg = l / p.railsPerGroup;
+        int lg = l / rails;
         switches[static_cast<std::size_t>(l)]->setPortRouter(
             [this, lg, gpp](const Packet &pkt) {
                 if (!isSwitchNode(pkt.dst)) {
@@ -198,14 +164,8 @@ Fabric::railFor(const Packet &pkt) const
 void
 Fabric::attachGpu(GpuId g, PacketSink *sink)
 {
-    if (!p.multiTier()) {
-        for (SwitchId s = 0; s < p.numSwitches; ++s)
-            down[static_cast<std::size_t>(s)][static_cast<std::size_t>(g)]
-                ->setSink(sink);
-        return;
-    }
     int gpp = p.gpusPerGroup();
-    for (int r = 0; r < p.railsPerGroup; ++r)
+    for (int r = 0; r < p.uplinksPerGpu(); ++r)
         down[static_cast<std::size_t>(p.leafIndex(g / gpp, r))]
             [static_cast<std::size_t>(g % gpp)]
                 ->setSink(sink);
@@ -215,25 +175,12 @@ void
 Fabric::sendFromGpu(GpuId g, Packet &&pkt)
 {
     pkt.vc = policedVc(pkt.vc, p.sw.unifiedDataVc);
-    if (!p.multiTier()) {
-        SwitchId s;
-        if (isSwitchNode(pkt.dst)) {
-            s = pkt.dst - p.numGpus;
-        } else if (pkt.type == PacketType::groupSyncReq) {
-            s = route.switchForGroup(pkt.group);
-        } else {
-            s = route.switchForAddr(pkt.addr);
-        }
-        up[static_cast<std::size_t>(g)][static_cast<std::size_t>(s)]->send(
-            std::move(pkt));
-        return;
-    }
-    int grp = g / p.gpusPerGroup();
+    const int rails = p.uplinksPerGpu();
     int rail;
     if (isSwitchNode(pkt.dst)) {
         int s = pkt.dst - p.numGpus;
-        if (!p.isSpineSwitch(s) && s / p.railsPerGroup == grp)
-            rail = s % p.railsPerGroup; // own-group leaf: direct rail
+        if (!p.isSpineSwitch(s) && s / rails == p.groupOfGpu(g))
+            rail = s % rails; // own-group leaf: direct rail
         else
             rail = railFor(pkt); // spine/foreign leaf: hashed rail up
     } else {
@@ -246,26 +193,20 @@ Fabric::sendFromGpu(GpuId g, Packet &&pkt)
 int
 Fabric::mergeNode(GpuId g, Addr addr) const
 {
-    SwitchId s = route.switchForAddr(addr);
-    if (p.multiTier())
-        s = p.leafIndex(g / p.gpusPerGroup(), s);
-    return switchNodeId(s);
+    return switchNodeId(
+        p.leafIndex(p.groupOfGpu(g), route.switchForAddr(addr)));
 }
 
 int
 Fabric::syncNode(GpuId g, GroupId group) const
 {
-    SwitchId s = route.switchForGroup(group);
-    if (p.multiTier())
-        s = p.leafIndex(g / p.gpusPerGroup(), s);
-    return switchNodeId(s);
+    return switchNodeId(
+        p.leafIndex(p.groupOfGpu(g), route.switchForGroup(group)));
 }
 
 int
 Fabric::spineNodeForAddr(Addr addr) const
 {
-    if (!p.multiTier())
-        panic("spineNodeForAddr on a flat fabric");
     return switchNodeId(p.numLeaves() +
                         route.spineForAddr(addr, p.numSpines));
 }
@@ -273,8 +214,6 @@ Fabric::spineNodeForAddr(Addr addr) const
 int
 Fabric::spineNodeForGroup(GroupId group) const
 {
-    if (!p.multiTier())
-        panic("spineNodeForGroup on a flat fabric");
     return switchNodeId(p.numLeaves() +
                         route.spineForGroup(group, p.numSpines));
 }
@@ -288,15 +227,11 @@ Fabric::uplink(GpuId g, int i)
 CreditLink &
 Fabric::downlink(SwitchId s, GpuId g)
 {
-    if (!p.multiTier())
-        return *down[static_cast<std::size_t>(s)]
-                    [static_cast<std::size_t>(g)];
-    int gpp = p.gpusPerGroup();
-    if (p.isSpineSwitch(s) || s / p.railsPerGroup != g / gpp)
+    if (p.isSpineSwitch(s) || s / p.uplinksPerGpu() != p.groupOfGpu(g))
         panic("downlink(%d, %d): switch is not a leaf of the GPU's "
               "group", s, g);
     return *down[static_cast<std::size_t>(s)]
-                [static_cast<std::size_t>(g % gpp)];
+                [static_cast<std::size_t>(g % p.gpusPerGroup())];
 }
 
 const CreditLink &
@@ -453,50 +388,9 @@ void
 Fabric::registerMetrics(MetricRegistry &reg,
                         const std::string &prefix) const
 {
-    if (!p.multiTier()) {
-        for (int g = 0; g < p.numGpus; ++g) {
-            for (int s = 0; s < p.numSwitches; ++s) {
-                up[static_cast<std::size_t>(g)][static_cast<std::size_t>(s)]
-                    ->registerMetrics(reg, prefix + ".up.g" +
-                                               std::to_string(g) + ".s" +
-                                               std::to_string(s));
-                down[static_cast<std::size_t>(s)][static_cast<std::size_t>(g)]
-                    ->registerMetrics(reg, prefix + ".dn.s" +
-                                               std::to_string(s) + ".g" +
-                                               std::to_string(g));
-            }
-        }
-        return;
-    }
-    int gpp = p.gpusPerGroup();
-    for (int g = 0; g < p.numGpus; ++g) {
-        for (int r = 0; r < p.railsPerGroup; ++r) {
-            int l = p.leafIndex(g / gpp, r);
-            up[static_cast<std::size_t>(g)][static_cast<std::size_t>(r)]
-                ->registerMetrics(reg, prefix + ".up.g" +
-                                           std::to_string(g) + ".l" +
-                                           std::to_string(l));
-            down[static_cast<std::size_t>(l)]
-                [static_cast<std::size_t>(g % gpp)]
-                    ->registerMetrics(reg, prefix + ".dn.l" +
-                                               std::to_string(l) + ".g" +
-                                               std::to_string(g));
-        }
-    }
-    for (int l = 0; l < p.numLeaves(); ++l) {
-        for (int k = 0; k < p.numSpines; ++k) {
-            tierUp[static_cast<std::size_t>(l)][static_cast<std::size_t>(k)]
-                ->registerMetrics(reg, prefix + ".t_up.l" +
-                                           std::to_string(l) + ".k" +
-                                           std::to_string(k));
-            tierDown[static_cast<std::size_t>(k)]
-                    [static_cast<std::size_t>(l)]
-                        ->registerMetrics(reg, prefix + ".t_dn.k" +
-                                                   std::to_string(k) +
-                                                   ".l" +
-                                                   std::to_string(l));
-        }
-    }
+    forEachLink([&](const CreditLink &l) {
+        l.registerMetrics(reg, prefix + "." + l.name());
+    });
 }
 
 } // namespace cais

@@ -3,10 +3,13 @@
  * The assembled NVLink/NVSwitch fabric: switches, links, deterministic
  * routing, GPU attachment points, and fleet-wide utilization probes.
  *
- * Flat shapes wire every GPU to every switch. Multi-tier shapes wire
- * each GPU to its group's rail (leaf) switches and every leaf to every
- * spine switch; per-chip port routers steer packets whose destination
- * is not directly attached onto the right tier link.
+ * One builder wires every shape: each GPU to its group's rail (leaf)
+ * switches and every leaf to every spine switch. The flat DGX-style
+ * fabric is the one-group, zero-spine case, where every switch is a
+ * leaf of the single group and each GPU reaches all of them. With
+ * spines, per-chip port routers steer packets whose destination is
+ * not directly attached onto the right tier link; without them the
+ * switch chips' default (output port == destination GPU) applies.
  */
 
 #ifndef CAIS_NOC_NETWORK_HH
@@ -26,7 +29,7 @@ namespace cais
 
 class CausalProfiler;
 
-/** A fully wired multi-GPU fabric. */
+/** A fully wired multi-GPU fabric, flat or leaf/spine. */
 class Fabric
 {
   public:
@@ -53,8 +56,8 @@ class Fabric
      */
     void sendFromGpu(GpuId g, Packet &&pkt);
 
-    /** Rail/switch index owning @p a: a switch id on flat shapes, a
-     *  rail index within each group on multi-tier ones. */
+    /** Rail index owning @p a within every group (on the flat
+     *  fabric, the switch id itself). */
     SwitchId routeAddr(Addr a) const { return route.switchForAddr(a); }
     SwitchId routeGroup(GroupId g) const { return route.switchForGroup(g); }
 
@@ -65,31 +68,30 @@ class Fabric
     }
 
     /** Node id of the switch that merges @p addr for GPU @p g: the
-     *  hashed switch on flat shapes, the GPU's group leaf on the
-     *  hashed rail on multi-tier ones. */
+     *  leaf of the GPU's group on the hashed rail. */
     int mergeNode(GpuId g, Addr addr) const;
 
     /** Node id of the switch that coordinates @p group for @p g. */
     int syncNode(GpuId g, GroupId group) const;
 
-    /** Node id of the spine owning @p addr (multi-tier only). */
+    /** Node id of the spine owning @p addr (needs spines). */
     int spineNodeForAddr(Addr addr) const;
 
-    /** Node id of the spine coordinating @p group (multi-tier only). */
+    /** Node id of the spine coordinating @p group (needs spines). */
     int spineNodeForGroup(GroupId group) const;
 
     SwitchChip &switchChip(SwitchId s) { return *switches[s]; }
     const SwitchChip &switchChip(SwitchId s) const { return *switches[s]; }
 
-    /** Uplinks per GPU (rails on multi-tier shapes). */
+    /** Uplinks per GPU: its group's rails (every switch if flat). */
     int uplinksPerGpu() const { return p.uplinksPerGpu(); }
 
-    /** GPU @p g's @p i-th uplink: to switch i (flat) or rail i. */
+    /** GPU @p g's @p i-th uplink: to rail i of its group. */
     CreditLink &uplink(GpuId g, int i);
     const CreditLink &uplink(GpuId g, int i) const;
 
-    /** Downlink from switch @p s to GPU @p g; on multi-tier shapes
-     *  @p s must be a leaf of @p g's group. */
+    /** Downlink from switch @p s to GPU @p g; @p s must be a leaf of
+     *  @p g's group. */
     CreditLink &downlink(SwitchId s, GpuId g);
     const CreditLink &downlink(SwitchId s, GpuId g) const;
 
@@ -98,10 +100,10 @@ class Fabric
     CreditLink &tierDownlink(int spine, int leaf);
 
     /**
-     * Visit every link with a stable name, GPU-facing links first in
-     * (gpu, uplink-index, up-then-down) order, then tier links. The
-     * flat visit order matches the historical per-link diagnostics
-     * order of cais-verify V2.
+     * Visit every link with a stable name: GPU uplinks in (gpu, rail)
+     * order, GPU downlinks in (leaf, local gpu) order, then the tier
+     * links. The flat visit order matches the historical per-link
+     * diagnostics order of cais-verify V2.
      */
     void forEachLink(
         const std::function<void(const CreditLink &)> &fn) const;
@@ -136,18 +138,18 @@ class Fabric
     std::uint64_t totalWireBytes() const;
 
     /**
-     * Register every link's scalar counters under
-     * prefix.up.g<G>.s<S>.* and prefix.dn.s<S>.g<G>.* (multi-tier
-     * shapes add prefix.t_up.l<L>.k<K>.* / prefix.t_dn.k<K>.l<L>.*;
-     * the switch chips register separately under the per-switch
+     * Register every link's scalar counters under prefix.<link name>:
+     * prefix.up.g<G>.s<S>.* and prefix.dn.s<S>.g<G>.* on the flat
+     * fabric, prefix.up.g<G>.l<L>.* / prefix.dn.l<L>.g<G>.* plus
+     * prefix.t_up.l<L>.k<K>.* / prefix.t_dn.k<K>.l<L>.* with spines
+     * (the switch chips register separately under the per-switch
      * subtree).
      */
     void registerMetrics(MetricRegistry &reg,
                          const std::string &prefix) const;
 
   private:
-    void buildFlat();
-    void buildTiered();
+    void build();
 
     int spinePort(const Packet &pkt) const;
     int railFor(const Packet &pkt) const;
@@ -162,10 +164,10 @@ class Fabric
     PacketIdAllocator pktIds;
 
     std::vector<std::unique_ptr<SwitchChip>> switches;
-    // Flat: up[g][s]: GPU g -> switch s; down[s][g]: switch s -> GPU g.
-    // Tiered: up[g][r]: GPU g -> rail r of its group; down[l][i]:
-    // leaf l -> its i-th local GPU; tierUp[l][k]: leaf l -> spine k;
-    // tierDown[k][l]: spine k -> leaf l.
+    // up[g][r]: GPU g -> rail r of its group; down[l][i]: leaf l ->
+    // its i-th local GPU (on the flat fabric up[g][s] and down[s][g]);
+    // tierUp[l][k]: leaf l -> spine k; tierDown[k][l]: spine k ->
+    // leaf l (both empty without spines).
     std::vector<std::vector<std::unique_ptr<CreditLink>>> up;
     std::vector<std::vector<std::unique_ptr<CreditLink>>> down;
     std::vector<std::vector<std::unique_ptr<CreditLink>>> tierUp;

@@ -7,8 +7,10 @@
  *
  * Multi-tier shapes add a second switch level: GPUs are grouped into
  * nodes, each node owns `railsPerGroup` leaf switches (rails), and
- * every leaf connects to every spine switch. Presets cover the paper's
- * DGX-H100 plus NVL72-class and rail-optimized multi-node fabrics.
+ * every leaf connects to every spine switch. The flat shape is the
+ * one-group, zero-spine case of the same description. Presets cover
+ * the paper's DGX-H100 plus NVL72-class and rail-optimized
+ * multi-node fabrics.
  */
 
 #ifndef CAIS_NOC_TOPOLOGY_HH
@@ -51,11 +53,12 @@ struct FabricParams
 
     SwitchParams sw;
 
-    // -- Tier description (multi-tier fabrics only) -------------------
+    // -- Tier description ---------------------------------------------
     // numGroups GPU groups (nodes) x railsPerGroup leaf switches each,
-    // plus numSpines spine switches. numSwitches must then equal
-    // numGroups * railsPerGroup + numSpines. numSpines == 0 selects
-    // the flat single-tier topology and ignores the other tier fields.
+    // plus numSpines spine switches. numSpines == 0 selects the flat
+    // topology: one group whose leaves are all numSwitches switches
+    // (railsPerGroup stays 0 there; uplinksPerGpu() is the rail
+    // count). Either way numSwitches == numLeaves() + numSpines.
 
     int numGroups = 1;
     int railsPerGroup = 0;
@@ -70,7 +73,7 @@ struct FabricParams
 
     bool multiTier() const { return numSpines > 0; }
 
-    int numLeaves() const { return numGroups * railsPerGroup; }
+    int numLeaves() const { return numGroups * uplinksPerGpu(); }
 
     int gpusPerGroup() const
     {
@@ -80,19 +83,13 @@ struct FabricParams
     /** Leaf switch index of (group, rail), group-major. */
     int leafIndex(int group, int rail) const
     {
-        return group * railsPerGroup + rail;
+        return group * uplinksPerGpu() + rail;
     }
 
     /** Group that GPU @p g belongs to. */
-    int groupOfGpu(int g) const
-    {
-        return multiTier() ? g / gpusPerGroup() : 0;
-    }
+    int groupOfGpu(int g) const { return g / gpusPerGroup(); }
 
-    bool isSpineSwitch(int s) const
-    {
-        return multiTier() && s >= numLeaves();
-    }
+    bool isSpineSwitch(int s) const { return s >= numLeaves(); }
 
     /** Uplinks (and downlinks) each GPU has: its node's rails on a
      *  multi-tier fabric, every switch on the flat one. */

@@ -146,7 +146,6 @@ class GraphLowering
 
   private:
     // Per-kind lowering.
-    void lowerLayerNorm(OpId id);
     void lowerElementwise(OpId id);
     void lowerAttention(OpId id);
     void lowerGemmCol(OpId id);
@@ -177,7 +176,6 @@ class GraphLowering
     KernelDesc newKernel(const std::string &name);
     void finishKernel(OpId id, KernelDesc &&k);
     bool consumerIsReduction(OpId id) const;
-    int tilesOf(const TensorInfo &t) const { return t.numTiles; }
 
     /** Fraction-of-SM range for op under the fusion plan. */
     void smRange(OpId id, double &from, double &to) const;

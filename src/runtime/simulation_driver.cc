@@ -68,18 +68,15 @@ RunConfig::validationError() const
         return strfmt("mergeTableEntriesPerPort must be >= 0 "
                       "(got %d)",
                       mergeTableEntriesPerPort);
-    if (gpu.numSms < 1)
-        return strfmt("gpu.numSms must be >= 1 (got %d)",
-                      gpu.numSms);
-    if (gpu.maxCaisLoadOutstanding < 1)
-        return strfmt("gpu.maxCaisLoadOutstanding must be >= 1 "
-                      "(got %d)",
-                      gpu.maxCaisLoadOutstanding);
-    // Fabric-level bounds (VC count, credits, buffer depths) on the
-    // derived SystemConfig, so zero-VC / zero-credit setups are
-    // rejected here with the same message the Fabric would fatal
-    // with instead of constructing a nonsense System.
+    // GPU and fabric bounds (SM count, chunk size, VC count,
+    // credits, buffer depths) on the derived SystemConfig, so such
+    // setups are rejected here with the same message the GPU or
+    // Fabric would fatal with instead of constructing a nonsense
+    // System.
     SystemConfig sc = toSystemConfig(StrategySpec{});
+    std::string err = sc.gpu.validationError();
+    if (!err.empty())
+        return err;
     return sc.fabric.validationError();
 }
 

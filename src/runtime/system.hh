@@ -132,7 +132,6 @@ class System : public DataArrivalHandler
     {
         return *trackers[static_cast<std::size_t>(idx)];
     }
-    std::size_t numTrackers() const { return trackers.size(); }
 
     Addr allocLocal(GpuId g, std::uint64_t bytes);
     Addr allocShared(std::uint64_t bytes);
@@ -205,8 +204,6 @@ class System : public DataArrivalHandler
     // DataArrivalHandler
     void onDataArrival(GpuId gpu, Addr addr, std::uint32_t bytes,
                        int contribs) override;
-
-    AddressMap &addressMap() { return addrMap; }
 
   private:
     struct KernelState;

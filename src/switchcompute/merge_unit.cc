@@ -189,8 +189,6 @@ MergeUnit::handleLoadReq(Packet &&pkt)
     e = tbl.allocate(pkt.addr, true);
     st.sessionsOpened.inc();
     noteOpen(true);
-    if (hooks)
-        hooks->onMergeSessionOpen(sw.id(), home, pkt.addr, true, now);
     e->expected = pkt.expected;
     e->group = pkt.group;
     e->count = 1;
@@ -311,9 +309,6 @@ MergeUnit::handleRedReq(Packet &&pkt)
         e = tbl.allocate(pkt.addr, false);
         st.sessionsOpened.inc();
         noteOpen(false);
-        if (hooks)
-            hooks->onMergeSessionOpen(sw.id(), home, pkt.addr, false,
-                                      now);
         e->expected = pkt.expected;
         e->globalExpected = global_expected;
         e->group = pkt.group;

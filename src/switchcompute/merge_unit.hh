@@ -106,10 +106,6 @@ class MergeUnit : public Probe
      */
     const Histogram &staggerHist() const { return stagger; }
 
-    /** Stagger restricted to load / reduction sessions. */
-    const Histogram &loadStaggerHist() const { return loadStagger; }
-    const Histogram &redStaggerHist() const { return redStagger; }
-
     /** Peak concurrent load / reduction sessions over all ports. */
     std::size_t peakLoadSessions() const { return peakLoads; }
     std::size_t peakRedSessions() const { return peakReds; }

@@ -137,19 +137,3 @@ TEST(TimeSeries, MeanOverRange)
     ts.record(15, 30.0);
     EXPECT_DOUBLE_EQ(ts.meanOver(0, 2), 20.0);
 }
-
-TEST(StatRegistry, SnapshotsRegisteredStats)
-{
-    StatRegistry reg;
-    Counter c;
-    c.inc(7);
-    Accumulator a;
-    a.sample(2.0);
-    a.sample(4.0);
-    reg.add("pkts", &c);
-    reg.add("lat", &a);
-    auto snap = reg.snapshot();
-    EXPECT_DOUBLE_EQ(snap.at("pkts"), 7.0);
-    EXPECT_DOUBLE_EQ(snap.at("lat"), 3.0);
-    EXPECT_NE(reg.dump().find("pkts = 7"), std::string::npos);
-}

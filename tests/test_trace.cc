@@ -153,35 +153,57 @@ TEST(Trace, WriteToFullDeviceFails)
 TEST(Trace, DriverArtifactsMatchGoldenBytes)
 {
     // Pins every byte of the three run artifacts: trace, metrics
-    // report and causal profile of a small CAIS L1 run. Only a
-    // deliberate change to an artifact's content re-records these.
-    RunConfig cfg;
-    cfg.numGpus = 4;
-    cfg.numSwitches = 2;
-    std::string dir = ::testing::TempDir();
-    cfg.tracePath = dir + "cais_golden_trace.json";
-    cfg.metricsPath = dir + "cais_golden_metrics.json";
-    cfg.profilePath = dir + "cais_golden_profile.json";
-
-    LlmConfig m = megaGpt4B().scaled(0.25, 0.25);
-    m.batch = 1;
-    OpGraph g = buildSubLayer(m, SubLayerId::L1);
-    runGraph(strategyByName("CAIS"), g, cfg, "L1");
-
+    // report and causal profile of a small CAIS L1 run, on a flat
+    // fabric and on a leaf/spine one (tiered link names, metric
+    // paths and profiler link ids). Only a deliberate change to an
+    // artifact's content re-records these.
     struct Golden
     {
-        std::string path;
         std::uint64_t digest;
         std::size_t bytes;
     };
-    for (const Golden &want :
-         {Golden{cfg.tracePath, 5413567780724705216ull, 109685u},
-          Golden{cfg.metricsPath, 3901856488617076910ull, 12665u},
-          Golden{cfg.profilePath, 11266103646538249864ull, 3287u}}) {
-        auto [digest, bytes] = fileDigest(want.path);
-        EXPECT_EQ(bytes, want.bytes) << want.path;
-        EXPECT_EQ(digest, want.digest) << want.path;
-        std::remove(want.path.c_str());
+    struct Case
+    {
+        std::string topology;
+        int gpus, switches;
+        Golden trace, metrics, profile;
+    };
+    const Case cases[] = {
+        {"", 4, 2,
+         {5413567780724705216ull, 109685u},
+         {3901856488617076910ull, 12665u},
+         {11266103646538249864ull, 3287u}},
+        {"rail-optimized-2node", 16, 12,
+         {2496832775343348436ull, 1019333u},
+         {10964187930250469941ull, 106794u},
+         {10821547231866355386ull, 5595u}},
+    };
+    LlmConfig m = megaGpt4B().scaled(0.25, 0.25);
+    m.batch = 1;
+    std::string dir = ::testing::TempDir();
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.topology.empty() ? "flat" : c.topology);
+        RunConfig cfg;
+        cfg.topology = c.topology;
+        cfg.numGpus = c.gpus;
+        cfg.numSwitches = c.switches;
+        cfg.tracePath = dir + "cais_golden_trace.json";
+        cfg.metricsPath = dir + "cais_golden_metrics.json";
+        cfg.profilePath = dir + "cais_golden_profile.json";
+
+        OpGraph g = buildSubLayer(m, SubLayerId::L1);
+        runGraph(strategyByName("CAIS"), g, cfg, "L1");
+
+        const std::pair<const std::string *, Golden> files[] = {
+            {&cfg.tracePath, c.trace},
+            {&cfg.metricsPath, c.metrics},
+            {&cfg.profilePath, c.profile}};
+        for (const auto &[path, want] : files) {
+            auto [digest, bytes] = fileDigest(*path);
+            EXPECT_EQ(bytes, want.bytes) << *path;
+            EXPECT_EQ(digest, want.digest) << *path;
+            std::remove(path->c_str());
+        }
     }
 }
 

@@ -112,6 +112,51 @@ TEST(Verify, V1CatchesInjectedVcCycle)
     EXPECT_NE(r.diagnostics[0].hint, "");
 }
 
+TEST(Verify, V1ReportsTheWholeCyclePath)
+{
+    // A seeded response->request coupling, at the GPU and at the
+    // switch, on a flat and on a leaf/spine fabric: every label of
+    // the reported cycle, in order, so a renumbered channel graph or
+    // a relabelled channel shows up here.
+    SystemConfig flat = tinyConfig();
+    SystemConfig tiered = tinyConfig();
+    tiered.fabric = FabricParams::preset("rail-optimized-2node");
+    struct Case
+    {
+        bool atGpu;
+        const SystemConfig &cfg;
+        std::vector<std::string> path;
+    };
+    const Case cases[] = {
+        {true, flat,
+         {"gpu0->sw0 vc0(request)", "sw0->gpu0 vc0(request)",
+          "gpu0->sw0 vc1(response)", "sw0->gpu0 vc1(response)",
+          "gpu0->sw0 vc0(request)"}},
+        {true, tiered,
+         {"gpu0->leaf0.sw0 vc0(request)", "leaf0.sw0->gpu0 vc0(request)",
+          "gpu0->leaf0.sw0 vc1(response)",
+          "leaf0.sw0->gpu0 vc1(response)",
+          "gpu0->leaf0.sw0 vc0(request)"}},
+        {false, flat,
+         {"sw0->gpu0 vc0(request)", "gpu0->sw0 vc1(response)",
+          "sw0->gpu0 vc0(request)"}},
+        {false, tiered,
+         {"leaf0.sw0->gpu0 vc0(request)",
+          "gpu0->leaf0.sw0 vc1(response)",
+          "leaf0.sw0->gpu0 vc0(request)"}},
+    };
+    for (const Case &c : cases) {
+        verify::Options o;
+        o.extraCouplings.push_back(
+            {c.atGpu, VcClass::response, VcClass::request});
+        verify::VerifyResult r =
+            verify::verifySystem(System(c.cfg), o);
+        ASSERT_FALSE(r.ok());
+        EXPECT_EQ(r.diagnostics[0].id, "V1");
+        EXPECT_EQ(r.diagnostics[0].path, c.path);
+    }
+}
+
 TEST(Verify, V1CleanOnBaselineProtocolAndUnifiedVc)
 {
     SystemConfig c = tinyConfig();
@@ -442,6 +487,16 @@ TEST(Verify, RunConfigValidationRejectsBadBounds)
     c = ok;
     c.gpu.numSms = 0;
     EXPECT_NE(c.validationError().find("numSms"), std::string::npos);
+    c = ok;
+    c.gpu.maxCaisLoadOutstanding = 0;
+    EXPECT_NE(c.validationError().find("maxCaisLoadOutstanding"),
+              std::string::npos);
+    // A power of two below one coalesced packet: the GPU model would
+    // fatal on it during System construction.
+    c = ok;
+    c.chunkBytes = 64;
+    EXPECT_NE(c.validationError().find("below one coalesced packet"),
+              std::string::npos);
 }
 
 TEST(Verify, RunConfigValidateIsFatal)
