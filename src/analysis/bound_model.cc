@@ -131,9 +131,8 @@ accountOp(const RemoteOp &op, std::size_t g, std::uint64_t chunk,
                                            op.base + op.bytes);
         break;
       case RemoteOpKind::nvlsSt:
-      case RemoteOpKind::nvlsRed:
-        // Injection is certain; the multicast/reduction fan-out set
-        // is not derivable here, so it is dropped.
+        // Injection is certain; the multicast fan-out set is not
+        // derivable here, so it is dropped.
         t[g].up += op.bytes + hdrs;
         break;
     }

@@ -24,6 +24,12 @@ DeepTraceProbe::DeepTraceProbe(System &sys_, TraceCollector &tc_)
         vcDepthNames.push_back(strfmt("vc%d downlink depth", vc));
 }
 
+int
+DeepTraceProbe::criticalPathPid() const
+{
+    return switchPid(sys.numSwitches());
+}
+
 void
 DeepTraceProbe::announceLanes()
 {

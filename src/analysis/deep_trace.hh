@@ -14,6 +14,8 @@
  *    tid = numGpus + 1 carries eviction / throttle-hint instants.
  *    Counter tracks sample per-port merging-table occupancy and
  *    per-VC downlink queue depth.
+ *  - pid 2+numSwitches: critical path — one lane per wait class
+ *    (added by runGraph when the run is also profiled).
  *
  * The probe is a pure observer: it never schedules events or mutates
  * simulation state, and sampling runs outside the event stream
@@ -48,6 +50,10 @@ class DeepTraceProbe : public SwitchTraceHooks
     {
         return 2 + s;
     }
+
+    /** Process lane of the critical-path flame lanes, after the
+     *  last switch. */
+    int criticalPathPid() const;
 
     /** Emit process/thread metadata for every lane. */
     void announceLanes();

@@ -101,8 +101,7 @@ switchCouplings()
         {VcClass::reduction, VcClass::control},
         // NVLS unit: multimem.st replicates as multicast writes plus
         // a posted-store ack; multimem.ld_reduce fetches via readReq
-        // and responds on the response class; multimem.red updates
-        // every replica on the reduction class.
+        // and responds on the response class.
         {VcClass::multicast, VcClass::multicast},
         {VcClass::multicast, VcClass::control},
         // Group sync table: registration in, release broadcast out.
@@ -426,7 +425,7 @@ isSessionKind(RemoteOpKind k)
 {
     return k == RemoteOpKind::caisLoad || k == RemoteOpKind::caisRed ||
            k == RemoteOpKind::nvlsLdReduce ||
-           k == RemoteOpKind::nvlsSt || k == RemoteOpKind::nvlsRed;
+           k == RemoteOpKind::nvlsSt;
 }
 
 const char *
@@ -437,7 +436,6 @@ kindName(RemoteOpKind k)
       case RemoteOpKind::plainWrite: return "st.global";
       case RemoteOpKind::nvlsLdReduce: return "multimem.ld_reduce";
       case RemoteOpKind::nvlsSt: return "multimem.st";
-      case RemoteOpKind::nvlsRed: return "multimem.red";
       case RemoteOpKind::caisLoad: return "ld.cais";
       case RemoteOpKind::caisRed: return "red.cais";
       default: return "?";
@@ -524,7 +522,6 @@ checkV3(Ctx &cx)
                             }
                         }
                         if (op.kind == RemoteOpKind::caisRed ||
-                            op.kind == RemoteOpKind::nvlsRed ||
                             op.kind == RemoteOpKind::caisLoad) {
                             OpGroup &grp = groups[{
                                 k.id, static_cast<int>(op.kind),
@@ -586,9 +583,8 @@ checkV3(Ctx &cx)
         }
         // Reduction sessions complete only when exactly `expected`
         // contributions arrive; a participant-count mismatch stalls
-        // the session (or trips the duplicate-contribution check).
-        if (rk == RemoteOpKind::caisRed ||
-            rk == RemoteOpKind::nvlsRed) {
+        // the session.
+        if (rk == RemoteOpKind::caisRed) {
             int expected = *grp.expected.begin();
             if (expected <= 0)
                 expected = cx.sys.numGpus();

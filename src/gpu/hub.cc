@@ -233,11 +233,6 @@ GpuHub::injectChunk(std::uint64_t job_id, JobState &js,
         pkt.payloadBytes = c.bytes;
         pkt.dst = fabric.mergeNode(gpu, c.addr);
         break;
-      case RemoteOpKind::nvlsRed:
-        pkt = newPacket(PacketType::multimemRed, invalidId);
-        pkt.payloadBytes = c.bytes;
-        pkt.dst = fabric.mergeNode(gpu, c.addr);
-        break;
       case RemoteOpKind::caisRed:
         pkt = newPacket(PacketType::caisRedReq, invalidId);
         pkt.payloadBytes = c.bytes;

@@ -30,7 +30,6 @@ enum class RemoteOpKind : std::uint8_t
     plainWrite,   ///< st.global to a peer GPU (P2P write)
     nvlsLdReduce, ///< multimem.ld_reduce (pull, in-switch reduce)
     nvlsSt,       ///< multimem.st (push, in-switch multicast)
-    nvlsRed,      ///< multimem.red (push, in-switch reduce-to-all)
     caisLoad,     ///< ld.cais (pull, mergeable)
     caisRed,      ///< red.cais (push, mergeable)
 };

@@ -42,7 +42,6 @@ CreditLink::send(Packet &&pkt)
     }
     auto idx = static_cast<std::size_t>(vc);
     queues[idx].push_back(std::move(pkt));
-    ++queuedTotal;
     updateReady(idx);
     tryIssue();
 }
@@ -68,12 +67,6 @@ CreditLink::returnCredit(int vc)
         updateReady(idx);
         tryIssue();
     });
-}
-
-std::size_t
-CreditLink::totalQueued() const
-{
-    return queuedTotal;
 }
 
 void
@@ -105,7 +98,6 @@ CreditLink::tryIssue()
     auto idx = static_cast<std::size_t>(vc);
     Packet pkt = std::move(queues[idx].front());
     queues[idx].pop_front();
-    --queuedTotal;
     --creditCount[idx];
     updateReady(idx);
 

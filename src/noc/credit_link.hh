@@ -102,7 +102,6 @@ class CreditLink : public Probe
     int numVcs() const { return static_cast<int>(queues.size()); }
 
     std::size_t queueLen(int vc) const { return queues[vc].size(); }
-    std::size_t totalQueued() const;
     int credits(int vc) const { return creditCount[vc]; }
 
     const std::string &name() const { return linkName; }
@@ -160,7 +159,6 @@ class CreditLink : public Probe
     int tag_ = -1;
     std::function<void(int)> dequeueCb;
 
-    std::size_t queuedTotal = 0;
     Cycle busyUntil = 0;
     bool wakeScheduled = false;
 

@@ -224,42 +224,6 @@ Fabric::uplink(GpuId g, int i)
     return *up[static_cast<std::size_t>(g)][static_cast<std::size_t>(i)];
 }
 
-CreditLink &
-Fabric::downlink(SwitchId s, GpuId g)
-{
-    if (p.isSpineSwitch(s) || s / p.uplinksPerGpu() != p.groupOfGpu(g))
-        panic("downlink(%d, %d): switch is not a leaf of the GPU's "
-              "group", s, g);
-    return *down[static_cast<std::size_t>(s)]
-                [static_cast<std::size_t>(g % p.gpusPerGroup())];
-}
-
-const CreditLink &
-Fabric::uplink(GpuId g, int i) const
-{
-    return *up[static_cast<std::size_t>(g)][static_cast<std::size_t>(i)];
-}
-
-const CreditLink &
-Fabric::downlink(SwitchId s, GpuId g) const
-{
-    return const_cast<Fabric *>(this)->downlink(s, g);
-}
-
-CreditLink &
-Fabric::tierUplink(int leaf, int spine)
-{
-    return *tierUp[static_cast<std::size_t>(leaf)]
-                  [static_cast<std::size_t>(spine)];
-}
-
-CreditLink &
-Fabric::tierDownlink(int spine, int leaf)
-{
-    return *tierDown[static_cast<std::size_t>(spine)]
-                    [static_cast<std::size_t>(leaf)];
-}
-
 void
 Fabric::setProfiler(CausalProfiler *pr)
 {

@@ -88,16 +88,6 @@ class Fabric
 
     /** GPU @p g's @p i-th uplink: to rail i of its group. */
     CreditLink &uplink(GpuId g, int i);
-    const CreditLink &uplink(GpuId g, int i) const;
-
-    /** Downlink from switch @p s to GPU @p g; @p s must be a leaf of
-     *  @p g's group. */
-    CreditLink &downlink(SwitchId s, GpuId g);
-    const CreditLink &downlink(SwitchId s, GpuId g) const;
-
-    /** Leaf->spine / spine->leaf tier links (multi-tier only). */
-    CreditLink &tierUplink(int leaf, int spine);
-    CreditLink &tierDownlink(int spine, int leaf);
 
     /**
      * Visit every link with a stable name: GPU uplinks in (gpu, rail)

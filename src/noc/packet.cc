@@ -18,7 +18,6 @@ defaultVcClass(PacketType t)
       case PacketType::multimemLdReduceResp:
         return VcClass::response;
       case PacketType::writeReq:
-      case PacketType::multimemRed:
       case PacketType::caisRedReq:
       case PacketType::caisMergedWrite:
         return VcClass::reduction;
@@ -47,7 +46,6 @@ packetTypeName(PacketType t)
       case PacketType::multimemLdReduceReq: return "multimem.ld_reduce.req";
       case PacketType::multimemLdReduceResp:
         return "multimem.ld_reduce.resp";
-      case PacketType::multimemRed: return "multimem.red";
       case PacketType::caisLoadReq: return "cais.load.req";
       case PacketType::caisLoadResp: return "cais.load.resp";
       case PacketType::caisRedReq: return "cais.red.req";

@@ -34,7 +34,6 @@ enum class PacketType : std::uint8_t
     multimemSt,         ///< push-mode multicast store (AllGather)
     multimemLdReduceReq,///< pull-mode gather-reduce request
     multimemLdReduceResp,///< reduced data returned to the requester
-    multimemRed,        ///< push-mode reduction contribution
 
     // CAIS compute-aware traffic.
     caisLoadReq,        ///< ld.cais remote read request (mergeable)

@@ -175,16 +175,6 @@ SwitchChip::peakInputOccupancy() const
     return peak;
 }
 
-std::size_t
-SwitchChip::inputOccupancy(int vc) const
-{
-    std::size_t n = 0;
-    for (const auto &port : inPorts)
-        if (vc >= 0 && vc < static_cast<int>(port.vcs.size()))
-            n += port.vcs[static_cast<std::size_t>(vc)].size();
-    return n;
-}
-
 void
 SwitchChip::registerMetrics(MetricRegistry &reg,
                             const std::string &prefix) const

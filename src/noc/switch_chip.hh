@@ -141,9 +141,6 @@ class SwitchChip : public PacketSink, public Probe
     /** Peak input-VC occupancy across all ports (buffer studies). */
     std::size_t peakInputOccupancy() const;
 
-    /** Live input-VC occupancy summed over ports for class @p vc. */
-    std::size_t inputOccupancy(int vc) const;
-
     void registerMetrics(MetricRegistry &reg,
                          const std::string &prefix) const override;
 

@@ -24,14 +24,6 @@ VirtualChannel::front()
     return fifo.front();
 }
 
-const Packet &
-VirtualChannel::front() const
-{
-    if (fifo.empty())
-        panic("front() on empty VC");
-    return fifo.front();
-}
-
 Packet
 VirtualChannel::pop()
 {

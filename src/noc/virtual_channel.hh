@@ -31,7 +31,6 @@ class VirtualChannel
 
     /** Head packet; the caller must have checked !empty(). */
     Packet &front();
-    const Packet &front() const;
 
     /** Pop and return the head packet. */
     Packet pop();

@@ -443,8 +443,7 @@ GraphLowering::lowerGemmRow(OpId id)
 
     // Partials materialize; a collective kernel reduces them later.
     bool shared_window =
-        opts.collectives == CollectiveImpl::nvls ||
-        opts.collectives == CollectiveImpl::nvlsPipelined;
+        opts.collectives == CollectiveImpl::nvls;
     TensorInfo &out = defineOutput(
         id,
         shared_window ? TensorLayout::replicated
@@ -488,8 +487,7 @@ GraphLowering::lowerReduceScatter(OpId id)
     OpId in = realInput(id);
     TensorInfo &partial = *outT[static_cast<std::size_t>(in)];
 
-    if (opts.collectives == CollectiveImpl::nvls ||
-        opts.collectives == CollectiveImpl::nvlsPipelined)
+    if (opts.collectives == CollectiveImpl::nvls)
         emitNvlsReduceScatter(id, partial);
     else
         emitSoftwareReduceScatter(id, partial);
@@ -523,7 +521,6 @@ GraphLowering::lowerAllGather(OpId id)
         emitPullStage(id, src, RemoteOpKind::plainLoad, 0.0, 1.0);
         return;
       case CollectiveImpl::nvls:
-      case CollectiveImpl::nvlsPipelined:
         emitNvlsAllGather(id, src);
         return;
       case CollectiveImpl::t3:
@@ -546,7 +543,6 @@ GraphLowering::lowerAllReduceAt(OpId rs_id)
 
     switch (opts.collectives) {
       case CollectiveImpl::nvls:
-      case CollectiveImpl::nvlsPipelined:
         emitNvlsAllReduce(rs_id, partial);
         return;
       case CollectiveImpl::ladm:
@@ -699,11 +695,10 @@ GraphLowering::emitNvlsAllGather(OpId ag, TensorInfo &in)
     k.launchOverhead += opts.commKernelExtraLaunch;
     k.smFrom = opts.commSmFrom;
     k.smTo = opts.commSmTo;
-    if (!opts.pipelinedCollectives &&
-        opts.collectives != CollectiveImpl::t3)
+    // T3 keeps its coarse RS/LN/AG stage barriers.
+    if (!opts.pipelinedCollectives ||
+        opts.collectives == CollectiveImpl::t3)
         k.kernelDeps = barrierDeps(ag);
-    else if (opts.collectives == CollectiveImpl::t3)
-        k.kernelDeps = barrierDeps(ag); // coarse RS/LN/AG stages
     k.producesTracker = out.tracker;
 
     for (GpuId g = 0; g < G; ++g) {
@@ -834,10 +829,9 @@ GraphLowering::emitSoftwareAllGather(OpId ag, TensorInfo &in)
     k.launchOverhead += opts.commKernelExtraLaunch;
     k.smFrom = opts.commSmFrom;
     k.smTo = opts.commSmTo;
-    if (!opts.pipelinedCollectives &&
-        opts.collectives != CollectiveImpl::t3)
-        k.kernelDeps = barrierDeps(ag);
-    else if (opts.collectives == CollectiveImpl::t3)
+    // T3 keeps its coarse RS/LN/AG stage barriers.
+    if (!opts.pipelinedCollectives ||
+        opts.collectives == CollectiveImpl::t3)
         k.kernelDeps = barrierDeps(ag);
     k.producesTracker = out.tracker;
 

@@ -7,15 +7,11 @@
  * plus the CAIS variants).
  *
  * Collective realizations:
- *  - nvls            : NVLS collective kernels (multimem), global
- *                      barriers between compute and comm phases.
- *  - nvlsPipelined   : NVLS collective kernels chunk-pipelined with
- *                      producer/consumer GEMMs on an SM partition
- *                      (CoCoNet-NVLS / FuseLib-NVLS).
+ *  - nvls            : NVLS collective kernels (multimem.ld_reduce /
+ *                      multimem.st), global barriers between compute
+ *                      and comm phases.
  *  - software        : direct P2P collective kernels (two-phase
  *                      RS+AG, ring-equivalent volume), barriers.
- *  - softwarePipelined: ditto, chunk-pipelined on an SM partition
- *                      (CoCoNet / FuseLib).
  *  - t3              : reduction fused into the producer GEMM as
  *                      per-tile DMA writes (track & trigger); coarse
  *                      barriers between RS / LN / AG stages; AG
@@ -24,6 +20,11 @@
  *                      via compiler-lowered ld.cais / red.cais.
  *  - ladm            : consumer-side plain remote reads (no NVLS,
  *                      no merging), locality-aware placement.
+ *
+ * Pipelining is orthogonal: with LoweringOptions::pipelinedCollectives
+ * the nvls / software comm kernels drop their global barriers and
+ * chunk-pipeline with the adjacent GEMMs on an SM partition (CoCoNet,
+ * FuseLib and their NVLS variants).
  */
 
 #ifndef CAIS_RUNTIME_EXECUTION_STRATEGY_HH
@@ -43,9 +44,7 @@ namespace cais
 enum class CollectiveImpl : std::uint8_t
 {
     nvls,
-    nvlsPipelined,
     software,
-    softwarePipelined,
     t3,
     cais,
     ladm,
@@ -89,9 +88,6 @@ struct LoweringOptions
 
     /** T3-NVLS: realize AllGather with NVLS multicast. */
     bool t3NvlsAllGather = false;
-
-    /** Row-blocks handled by one collective TB. */
-    int commTbRowBlocks = 2;
 };
 
 /** A named strategy preset. */

@@ -297,7 +297,7 @@ runGraph(const StrategySpec &spec, const OpGraph &graph,
                               : profnode::root(),
             r.makespan);
         if (tracing)
-            prof.emitFlameLanes(tc, 2, attr);
+            prof.emitFlameLanes(tc, probe->criticalPathPid(), attr);
         if (!prof.writeFile(cfg.profilePath, attr, spec.name,
                             workload_name))
             warn("could not write profile to %s",

@@ -19,8 +19,8 @@ makeCoconet(bool with_nvls)
 {
     StrategySpec s;
     s.name = with_nvls ? "CoCoNet-NVLS" : "CoCoNet";
-    s.opts.collectives = with_nvls ? CollectiveImpl::nvlsPipelined
-                                   : CollectiveImpl::softwarePipelined;
+    s.opts.collectives = with_nvls ? CollectiveImpl::nvls
+                                   : CollectiveImpl::software;
     s.opts.reassociateToAllReduce = true;
     s.opts.pipelinedCollectives = true;
     // Communication kernels steal the top fifth of the SM array.

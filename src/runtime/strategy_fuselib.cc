@@ -17,8 +17,8 @@ makeFuselib(bool with_nvls)
 {
     StrategySpec s;
     s.name = with_nvls ? "FuseLib-NVLS" : "FuseLib";
-    s.opts.collectives = with_nvls ? CollectiveImpl::nvlsPipelined
-                                   : CollectiveImpl::softwarePipelined;
+    s.opts.collectives = with_nvls ? CollectiveImpl::nvls
+                                   : CollectiveImpl::software;
     s.opts.reassociateToAllReduce = true;
     s.opts.pipelinedCollectives = true;
     s.opts.commSmFrom = 0.8;

@@ -79,8 +79,6 @@ struct System::KernelState
     bool finished = false;
     Cycle startAt = 0;
     Cycle finishAt = 0;
-    Cycle lastDispatchAt = 0;
-    Cycle lastReadyAt = 0;
     std::vector<Cycle> gpuFirstDispatch;
     std::vector<Cycle> gpuLastFinish;
     std::vector<KernelId> dependents;
@@ -112,9 +110,6 @@ System::System(const SystemConfig &cfg_)
             };
             t.leafNodeForAddr = [f, rails](int grp, Addr a) {
                 return f->switchNodeId(grp * rails + f->routeAddr(a));
-            };
-            t.leafNodeForGroup = [f, rails](int grp, GroupId g) {
-                return f->switchNodeId(grp * rails + f->routeGroup(g));
             };
             if (fp.isSpineSwitch(s)) {
                 t.role = TierRole::spine;
@@ -398,22 +393,14 @@ System::enqueueTb(KernelState &ks, GpuId g, int tb_idx)
         });
     };
 
-    // (Readiness time is tracked for pipeline diagnostics.)
     // Pre-launch synchronization (Sec. III-B.2): the TB registers its
     // group and stays pending — without occupying a CTA slot — until
     // the switch has seen all participating GPUs register.
-    std::function<void()> ready = [this, &ks, dispatch] {
-        ks.lastReadyAt = queue.now();
-        dispatch();
-    };
+    std::function<void()> ready = dispatch;
     if (ks.desc.preLaunchSync && tb.group != invalidId) {
-        ready = [this, &ks, g, group = tb.group, dispatch] {
+        ready = [this, g, group = tb.group, dispatch] {
             gpu(g).synchronizer().requestSync(
-                group, SyncPhase::preLaunch, numGpus(),
-                [this, &ks, dispatch] {
-                ks.lastReadyAt = queue.now();
-                dispatch();
-            });
+                group, SyncPhase::preLaunch, numGpus(), dispatch);
         };
     }
 
@@ -458,7 +445,6 @@ System::dispatchTb(KernelState &ks, GpuId g, int tb_idx, int slot,
 
     std::uint64_t key = (static_cast<std::uint64_t>(g) << 32) |
                         static_cast<std::uint32_t>(tb_idx);
-    ks.lastDispatchAt = queue.now();
     if (ks.gpuFirstDispatch[static_cast<std::size_t>(g)] == 0)
         ks.gpuFirstDispatch[static_cast<std::size_t>(g)] =
             queue.now() ? queue.now() : 1;
@@ -619,18 +605,6 @@ System::kernelFinishTime(KernelId k) const
     return kernels.at(static_cast<std::size_t>(k))->finishAt;
 }
 
-Cycle
-System::kernelLastDispatch(KernelId k) const
-{
-    return kernels.at(static_cast<std::size_t>(k))->lastDispatchAt;
-}
-
-Cycle
-System::kernelLastReady(KernelId k) const
-{
-    return kernels.at(static_cast<std::size_t>(k))->lastReadyAt;
-}
-
 std::pair<Cycle, Cycle>
 System::kernelGpuSpan(KernelId k, GpuId g) const
 {
@@ -681,28 +655,6 @@ System::setTraceHooks(SwitchTraceHooks *h)
 {
     for (auto &c : complexes)
         c->setTraceHooks(h);
-}
-
-double
-System::mergeStaggerMean() const
-{
-    double weighted = 0.0;
-    std::uint64_t n = 0;
-    for (const auto &c : complexes) {
-        const Histogram &h = c->merge().staggerHist();
-        weighted += h.mean() * static_cast<double>(h.count());
-        n += h.count();
-    }
-    return n ? weighted / static_cast<double>(n) : 0.0;
-}
-
-std::uint64_t
-System::peakMergeTableBytes() const
-{
-    std::uint64_t peak = 0;
-    for (const auto &c : complexes)
-        peak = std::max(peak, c->merge().peakTableBytes());
-    return peak;
 }
 
 void

@@ -161,10 +161,6 @@ class System : public DataArrivalHandler
     Cycle kernelStartTime(KernelId k) const;
     Cycle kernelFinishTime(KernelId k) const;
 
-    /** Last TB dispatch / readiness time (pipeline diagnostics). */
-    Cycle kernelLastDispatch(KernelId k) const;
-    Cycle kernelLastReady(KernelId k) const;
-
     /** Per-GPU execution span of a kernel (first TB dispatch to last
      *  TB retirement); {0, 0} if the GPU ran none of its TBs. */
     std::pair<Cycle, Cycle> kernelGpuSpan(KernelId k, GpuId g) const;
@@ -191,12 +187,6 @@ class System : public DataArrivalHandler
     void setProfiler(CausalProfiler *pr);
 
     CausalProfiler *profiler() { return prof; }
-
-    /** Aggregate merge-unit stagger mean over all switches, cycles. */
-    double mergeStaggerMean() const;
-
-    /** Peak per-port merge table bytes over all switches. */
-    std::uint64_t peakMergeTableBytes() const;
 
     /** Mean SM-slot occupancy across GPUs over the run. */
     double gpuUtilization() const;

@@ -223,124 +223,4 @@ NvlsUnit::handleLdReduceResp(Packet &&pkt)
     handleReadResp(std::move(pkt));
 }
 
-void
-NvlsUnit::handleRed(Packet &&pkt)
-{
-    if (tier.isLeaf() && pkt.tierHop == 2) {
-        // Final value from the spine: update every local replica.
-        int first = tier.firstLocalGpu;
-        int last = first + tier.localGpus(sw);
-        for (GpuId g = first; g < last; ++g) {
-            Packet w = sw.makePacket(PacketType::writeReq, g);
-            w.addr = pkt.addr;
-            w.payloadBytes = pkt.payloadBytes;
-            w.kernel = pkt.kernel;
-            w.contribs = pkt.contribs;
-            w.vc = VcClass::multicast;
-            sw.sendToGpu(std::move(w));
-        }
-        redsDone.inc();
-        return;
-    }
-
-    RedSession &s = reds[pkt.addr];
-    if (s.expected == 0) {
-        s.profStart = sw.eventQueue().now();
-        if (tier.isSpine())
-            s.expected = tier.numGroups;
-        else if (tier.isLeaf())
-            s.expected = tier.localGpus(sw);
-        else
-            s.expected = pkt.expected > 0 ? pkt.expected : sw.numGpus();
-        s.bytes = pkt.payloadBytes;
-        s.kernel = pkt.kernel;
-        s.tierHop = pkt.tierHop;
-    }
-    if (s.mask.test(pkt.issuerGpu) && !tier.isSpine())
-        panic("NVLS: duplicate red contribution from GPU %d",
-              pkt.issuerGpu);
-    s.mask.set(tier.isSpine() ? pkt.src : pkt.issuerGpu);
-    ++s.arrived;
-    s.contribs += pkt.contribs > 0 ? pkt.contribs : 1;
-    if (s.arrived < s.expected)
-        return;
-
-    std::uint32_t bytes = s.bytes;
-    KernelId kernel = s.kernel;
-    int contribs = s.contribs;
-    Addr addr = pkt.addr;
-    // Fan-in wait edge: contributions accumulated from the first
-    // arrival until this closing one (the active cause) plus the
-    // in-flight reduce delay before the result ships.
-    if (CausalProfiler *prof = sw.profiler())
-        prof->record(profnode::nvls(sw.id()), WaitClass::nvlsFanout,
-                     s.profStart,
-                     sw.eventQueue().now() + p.reduceDelay);
-    reds.erase(pkt.addr);
-
-    if (tier.isLeaf() && tier.numGroups > 1) {
-        // Local accumulation done: push one partial to the spine.
-        Packet up = sw.makePacket(PacketType::multimemRed,
-                                  tier.spineNodeForAddr(addr));
-        up.addr = addr;
-        up.payloadBytes = bytes;
-        up.kernel = kernel;
-        up.contribs = contribs;
-        up.expected = tier.numGroups;
-        up.issuerGpu = sw.nodeId();
-        up.tierHop = 1;
-        sw.eventQueue().scheduleAfter(p.reduceDelay,
-            [this, pkt2 = std::move(up)]() mutable {
-            CausalProfiler::ScopedCause sc(sw.profiler(),
-                                           profnode::nvls(sw.id()),
-                                           sw.eventQueue().now());
-            sw.sendToGpu(std::move(pkt2));
-        });
-        redsDone.inc();
-        return;
-    }
-
-    if (tier.isSpine()) {
-        // Combined across groups: distribute to every group's leaf.
-        redsDone.inc();
-        sw.eventQueue().scheduleAfter(p.reduceDelay,
-            [this, addr, bytes, kernel, contribs] {
-            CausalProfiler::ScopedCause sc(sw.profiler(),
-                                           profnode::nvls(sw.id()),
-                                           sw.eventQueue().now());
-            for (int grp = 0; grp < tier.numGroups; ++grp) {
-                Packet w = sw.makePacket(PacketType::multimemRed,
-                                         tier.leafNodeForAddr(grp, addr));
-                w.addr = addr;
-                w.payloadBytes = bytes;
-                w.kernel = kernel;
-                w.contribs = contribs;
-                w.tierHop = 2;
-                sw.sendToGpu(std::move(w));
-            }
-        });
-        return;
-    }
-
-    // Flat (or single-group leaf): update every replica directly.
-    redsDone.inc();
-    int first = tier.isLeaf() ? tier.firstLocalGpu : 0;
-    int last = first + tier.localGpus(sw);
-    sw.eventQueue().scheduleAfter(p.reduceDelay,
-        [this, addr, bytes, kernel, contribs, first, last] {
-        CausalProfiler::ScopedCause sc(sw.profiler(),
-                                       profnode::nvls(sw.id()),
-                                       sw.eventQueue().now());
-        for (GpuId g = first; g < last; ++g) {
-            Packet w = sw.makePacket(PacketType::writeReq, g);
-            w.addr = addr;
-            w.payloadBytes = bytes;
-            w.kernel = kernel;
-            w.contribs = contribs;
-            w.vc = VcClass::multicast;
-            sw.sendToGpu(std::move(w));
-        }
-    });
-}
-
 } // namespace cais

@@ -2,7 +2,7 @@
  * @file
  * Stock NVLS in-switch computing unit (communication-centric), per
  * Klenk et al. [24] and NVIDIA's third-generation NVSwitch: handles
- * the three multimem primitives.
+ * the two multimem primitives the NVLS strategies issue.
  *
  *  - multimem.st        : push-mode multicast store. The switch
  *                         replicates the payload to every other GPU.
@@ -10,9 +10,10 @@
  *                         the addressed data from every GPU's replica,
  *                         reduces in-flight, and returns the result to
  *                         the requester.
- *  - multimem.red       : push-mode reduction. Contributions from all
- *                         GPUs are accumulated in the switch and the
- *                         result is written to every replica.
+ *
+ * multimem.red (push-mode reduce-to-all) is not modelled: TP-/SP-NVLS
+ * reduce with ld_reduce, and T3-NVLS sends its reductions through the
+ * switch reducer as caisRed (MergeUnit).
  *
  * On multi-tier fabrics each primitive runs hierarchically: a leaf
  * handles its local GPUs and exchanges one aggregate packet per
@@ -27,7 +28,6 @@
 #include <unordered_map>
 
 #include "common/metrics.hh"
-#include "common/nodemask.hh"
 #include "common/stats.hh"
 #include "noc/switch_chip.hh"
 #include "switchcompute/tier.hh"
@@ -51,7 +51,6 @@ class NvlsUnit : public Probe
 
     void handleMultimemSt(Packet &&pkt);
     void handleLdReduceReq(Packet &&pkt);
-    void handleRed(Packet &&pkt);
 
     /** Read response for a gather this unit issued (cookie-tagged). */
     void handleReadResp(Packet &&pkt);
@@ -61,11 +60,7 @@ class NvlsUnit : public Probe
 
     std::uint64_t multicasts() const { return stMulticasts.value(); }
     std::uint64_t gatherReduces() const { return gathersDone.value(); }
-    std::uint64_t pushReduces() const { return redsDone.value(); }
-    std::size_t pendingSessions() const
-    {
-        return gathers.size() + reds.size();
-    }
+    std::size_t pendingSessions() const { return gathers.size(); }
 
     void
     registerMetrics(MetricRegistry &reg,
@@ -73,7 +68,6 @@ class NvlsUnit : public Probe
     {
         reg.addCounter(prefix + ".multicasts", &stMulticasts);
         reg.addCounter(prefix + ".gatherReduces", &gathersDone);
-        reg.addCounter(prefix + ".pushReduces", &redsDone);
     }
 
   private:
@@ -93,19 +87,6 @@ class NvlsUnit : public Probe
         Cycle profStart = 0; ///< profiler: session-open cycle
     };
 
-    struct RedSession
-    {
-        int arrived = 0;
-        int expected = 0;
-        std::uint32_t bytes = 0;
-        NodeMask mask;
-        KernelId kernel = invalidId;
-        std::uint8_t tierHop = 0;
-        /** Total GPU contributions represented (hierarchical sums). */
-        int contribs = 0;
-        Cycle profStart = 0; ///< profiler: session-open cycle
-    };
-
     void completeGather(std::uint64_t id, GatherSession &s);
     void replicateLocal(const Packet &pkt);
 
@@ -114,12 +95,10 @@ class NvlsUnit : public Probe
     TierInfo tier;
 
     std::unordered_map<std::uint64_t, GatherSession> gathers;
-    std::unordered_map<Addr, RedSession> reds;
     std::uint64_t nextGatherId = 1;
 
     Counter stMulticasts;
     Counter gathersDone;
-    Counter redsDone;
 };
 
 } // namespace cais

@@ -20,7 +20,6 @@ SwitchComputeComplex::wants(const Packet &pkt) const
     switch (pkt.type) {
       case PacketType::multimemSt:
       case PacketType::multimemLdReduceReq:
-      case PacketType::multimemRed:
       case PacketType::caisLoadReq:
       case PacketType::caisRedReq:
       case PacketType::groupSyncReq:
@@ -46,9 +45,6 @@ SwitchComputeComplex::handlePacket(Packet &&pkt)
         break;
       case PacketType::multimemLdReduceReq:
         nvlsUnit.handleLdReduceReq(std::move(pkt));
-        break;
-      case PacketType::multimemRed:
-        nvlsUnit.handleRed(std::move(pkt));
         break;
       case PacketType::caisLoadReq:
         mergeUnit.handleLoadReq(std::move(pkt));

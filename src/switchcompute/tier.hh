@@ -46,10 +46,9 @@ struct TierInfo
     std::function<int(Addr)> spineNodeForAddr;
     std::function<int(GroupId)> spineNodeForGroup;
 
-    /** Node id of group @p grp's leaf on the rail owning an address /
-     *  a group (set on spines of multi-tier fabrics). */
+    /** Node id of group @p grp's leaf on the rail owning an address
+     *  (set on spines of multi-tier fabrics). */
     std::function<int(int grp, Addr)> leafNodeForAddr;
-    std::function<int(int grp, GroupId)> leafNodeForGroup;
 
     bool isLeaf() const { return role == TierRole::leaf; }
     bool isSpine() const { return role == TierRole::spine; }

@@ -81,7 +81,7 @@ INSTANTIATE_TEST_SUITE_P(
         PacketType::readReq, PacketType::readResp,
         PacketType::writeReq, PacketType::writeAck,
         PacketType::multimemSt, PacketType::multimemLdReduceReq,
-        PacketType::multimemLdReduceResp, PacketType::multimemRed,
+        PacketType::multimemLdReduceResp,
         PacketType::caisLoadReq, PacketType::caisLoadResp,
         PacketType::caisRedReq, PacketType::caisMergedWrite,
         PacketType::groupSyncReq, PacketType::groupSyncRelease,

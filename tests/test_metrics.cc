@@ -6,6 +6,7 @@
  * cais_report renderer (driven in-process via cais_report_core).
  */
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -447,6 +448,60 @@ TEST(CaisReport, DiffShowsPercentDeltas)
     EXPECT_NE(d.find("makespan"), std::string::npos);
     EXPECT_NE(d.find("+9.99%"), std::string::npos);
     EXPECT_NE(d.find("switch0.merge.loadReqs"), std::string::npos);
+}
+
+/** A run report whose bound section carries the given per-resource
+ *  bounds (cycles); the composite and binding class follow from them. */
+std::string
+makeBoundReport(Cycle makespan, Cycle hbm, Cycle link)
+{
+    RunConfig cfg;
+    RunResult r;
+    r.strategy = "CAIS";
+    r.workload = "L1";
+    r.makespan = makespan;
+    r.boundCompute = 200;
+    r.boundHbm = hbm;
+    r.boundLink = link;
+    r.boundComposite = std::max({r.boundCompute, hbm, link});
+    r.boundBinding = hbm > link ? "hbm" : "linkSerialization";
+    return renderMetricsReport(cfg, r, MetricRegistry().snapshot());
+}
+
+TEST(CaisReport, BoundDiffShowsPerResourceDeltasAndRatios)
+{
+    report::Report a, b;
+    std::string error;
+    ASSERT_TRUE(report::load(makeBoundReport(1000, 400, 500), "a.json",
+                             a, error))
+        << error;
+    ASSERT_TRUE(report::load(makeBoundReport(1100, 600, 500), "b.json",
+                             b, error))
+        << error;
+    std::string d = report::boundDiff(a, b);
+    EXPECT_NE(d.find("makespan: 1000 -> 1100 (+10.00%)  binding: "
+                     "linkSerialization -> hbm"),
+              std::string::npos)
+        << d;
+    // Bound A, bound B, delta, then makespan / bound on each side.
+    EXPECT_NE(d.find("400              600    +50.00%       2.50       "
+                     "1.83"),
+              std::string::npos)
+        << d;
+    EXPECT_NE(d.find("smCompute"), std::string::npos);
+    // Classes bounded at zero on both sides are left out.
+    EXPECT_EQ(d.find("mergeService"), std::string::npos);
+    EXPECT_EQ(d.find("criticalPath"), std::string::npos);
+
+    // A causal profile has no bound section to diff.
+    report::Report prof;
+    ASSERT_TRUE(report::load(
+        "{\"schema\": \"cais-profile-v1\", \"makespan\": 1}",
+        "p.json", prof, error))
+        << error;
+    EXPECT_NE(report::boundDiff(a, prof).find("--bound needs a "
+                                              "cais-metrics-v1"),
+              std::string::npos);
 }
 
 TEST(MetricRegistry, HistogramSnapshotCarriesTailPercentiles)

@@ -118,42 +118,3 @@ TEST(NvlsUnit, GatherReduceFetchesAllReplicas)
     for (GpuId g = 0; g < 4; ++g)
         EXPECT_GE(rig.ups[g]->totalPayloadBytes(), 4096u);
 }
-
-TEST(NvlsUnit, PushReduceUpdatesAllReplicas)
-{
-    NvlsRig rig;
-    Addr addr = makeAddr(62, 0x3000);
-    for (GpuId g = 0; g < 4; ++g) {
-        Packet red = makePacket(rig.ids, PacketType::multimemRed, g, 4);
-        red.addr = addr;
-        red.payloadBytes = 4096;
-        red.expected = 4;
-        red.issuerGpu = g;
-        rig.ups[g]->send(std::move(red));
-    }
-    rig.eq.runAll();
-
-    EXPECT_EQ(rig.complex->nvls().pushReduces(), 1u);
-    for (GpuId g = 0; g < 4; ++g) {
-        ASSERT_EQ(rig.gpus[g].got.size(), 1u);
-        EXPECT_EQ(rig.gpus[g].got[0].type, PacketType::writeReq);
-        EXPECT_EQ(rig.gpus[g].got[0].contribs, 4);
-    }
-}
-
-TEST(NvlsUnitDeathTest, DuplicateRedContributionPanics)
-{
-    NvlsRig rig;
-    Addr addr = makeAddr(62, 0x4000);
-    auto mk = [&] {
-        Packet red = makePacket(rig.ids, PacketType::multimemRed, 0, 4);
-        red.addr = addr;
-        red.payloadBytes = 64;
-        red.expected = 4;
-        red.issuerGpu = 0;
-        return red;
-    };
-    rig.ups[0]->send(mk());
-    rig.ups[0]->send(mk());
-    EXPECT_DEATH(rig.eq.runAll(), "duplicate");
-}

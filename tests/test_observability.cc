@@ -13,6 +13,10 @@
 
 #include <cstdio>
 #include <fstream>
+#include <map>
+#include <set>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -173,6 +177,60 @@ TEST(Observability, DeepTraceHasSwitchLanesAndCounters)
     EXPECT_NE(text.find("link util %"), std::string::npos);
 
     std::remove(cfg.tracePath.c_str());
+}
+
+TEST(Observability, ProfiledTraceNamesEveryProcessOnce)
+{
+    // The critical-path flame lanes get their own process after the
+    // last switch; they must not share a pid (and lane names) with a
+    // switch's merge-port lanes.
+    RunConfig cfg = obsConfig();
+    cfg.tracePath = "/tmp/cais_test_obs_profiled_trace.json";
+    cfg.profilePath = "/tmp/cais_test_obs_profiled_profile.json";
+    runObs(cfg);
+
+    JsonValue doc;
+    std::string error;
+    ASSERT_TRUE(jsonParse(slurp(cfg.tracePath), doc, error)) << error;
+    const JsonValue *events = doc.find("traceEvents");
+    ASSERT_NE(events, nullptr);
+
+    std::map<int, std::vector<std::string>> process_names;
+    std::map<std::pair<int, int>, int> thread_names;
+    std::set<int> used_pids;
+    std::set<int> critical_pids;
+    int critical_spans = 0;
+    for (const JsonValue &e : events->elems) {
+        int pid = static_cast<int>(e.getNumber("pid"));
+        int tid = static_cast<int>(e.getNumber("tid"));
+        used_pids.insert(pid);
+        std::string name = e.getString("name");
+        if (e.getString("ph") == "M") {
+            std::string label = e.find("args")->getString("name");
+            if (name == "process_name")
+                process_names[pid].push_back(label);
+            else if (name == "thread_name")
+                ++thread_names[{pid, tid}];
+        } else if (e.getString("cat") == "critical-path") {
+            ++critical_spans;
+            critical_pids.insert(pid);
+        }
+    }
+
+    for (int pid : used_pids) {
+        ASSERT_EQ(process_names[pid].size(), 1u) << "pid " << pid;
+    }
+    for (const auto &[lane, n] : thread_names)
+        EXPECT_EQ(n, 1) << "pid " << lane.first << " tid "
+                        << lane.second;
+    EXPECT_GT(critical_spans, 0);
+    ASSERT_EQ(critical_pids.size(), 1u);
+    int crit = *critical_pids.begin();
+    EXPECT_EQ(process_names[crit].front(), "critical path");
+    EXPECT_EQ(crit, 2 + cfg.numSwitches);
+
+    std::remove(cfg.tracePath.c_str());
+    std::remove(cfg.profilePath.c_str());
 }
 
 TEST(Observability, SamplePeriodDoesNotChangeResults)

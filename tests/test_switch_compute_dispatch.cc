@@ -41,7 +41,6 @@ TEST(SwitchCompute, WantsInSwitchTrafficOnly)
 
     EXPECT_TRUE(c.wants(mk(PacketType::multimemSt, 4)));
     EXPECT_TRUE(c.wants(mk(PacketType::multimemLdReduceReq, 4)));
-    EXPECT_TRUE(c.wants(mk(PacketType::multimemRed, 4)));
     EXPECT_TRUE(c.wants(mk(PacketType::caisLoadReq, 4)));
     EXPECT_TRUE(c.wants(mk(PacketType::caisRedReq, 4)));
     EXPECT_TRUE(c.wants(mk(PacketType::groupSyncReq, 4)));

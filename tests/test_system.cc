@@ -218,3 +218,25 @@ TEST(SystemDeathTest, UnsatisfiableDependencyReportsDeadlock)
     sys.addKernel(std::move(k));
     EXPECT_DEATH(sys.run(), "deadlock");
 }
+
+TEST(SystemDeathTest, EventBudgetExhaustionReportsTheStalledMachine)
+{
+    // A run that cannot finish inside maxEvents stops with the stall
+    // report: every unfinished kernel, then the switch and GPU state.
+    SystemConfig c = smallConfig();
+    c.maxEvents = 1;
+    System sys(c);
+    KernelDesc k;
+    k.name = "budget";
+    k.grids.resize(2);
+    TbDesc tb;
+    tb.computeCycles = 10;
+    k.grids[0].push_back(tb);
+    k.grids[1].push_back(tb);
+    sys.addKernel(std::move(k));
+    EXPECT_DEATH(sys.run(),
+                 "kernel 0 \\(budget\\): launched=.*"
+                 "switch 0: nvls pending=0.*"
+                 "gpu 1: sched pending=.*"
+                 "simulation deadlocked or event budget exhausted");
+}

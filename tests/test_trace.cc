@@ -170,12 +170,12 @@ TEST(Trace, DriverArtifactsMatchGoldenBytes)
     };
     const Case cases[] = {
         {"", 4, 2,
-         {5413567780724705216ull, 109685u},
-         {3901856488617076910ull, 12665u},
+         {6709076873536755768ull, 109685u},
+         {804396146166298047ull, 12553u},
          {11266103646538249864ull, 3287u}},
         {"rail-optimized-2node", 16, 12,
-         {2496832775343348436ull, 1019333u},
-         {10964187930250469941ull, 106794u},
+         {12895293409115996183ull, 1019412u},
+         {13130338348964279427ull, 106098u},
          {10821547231866355386ull, 5595u}},
     };
     LlmConfig m = megaGpt4B().scaled(0.25, 0.25);
